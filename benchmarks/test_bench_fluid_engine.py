@@ -91,7 +91,9 @@ def run_workload():
     sim = Simulator()
     net = FluidNetwork(sim)
     events = build_population(net)
-    # Pin the allocation while the full population is live.
+    # Pin the allocation while the full population is live, once the
+    # kernel has run the same-instant refills.
+    sim.run(until=sim.now)
     expected = reference_global_rates(net._flows)
     mismatches = [
         (f.label, f.rate, want)

@@ -23,6 +23,16 @@ and next-completion guard event:
 * a completion syncs, re-partitions and re-fills only its own component;
 * all other components keep draining linearly at their unchanged rates.
 
+**Coalesced recompute.**  A population change only marks its component
+dirty (the stale completion guard is cancelled at once); the refill runs
+from a :meth:`~repro.simulate.core.Simulator.call_before_advance` hook, just
+before the kernel moves the clock past the current instant.  Sixty-four
+checkpoint streams starting at one instant therefore cost one progressive
+fill, not sixty-four.  Rates are a function of the component's population
+alone, so deferring the fill within an instant changes no completion time;
+code that reads ``Flow.rate`` at the instant of a ``transfer()`` must let
+the kernel settle first (``sim.run(until=sim.now)``).
+
 Because the max-min fair allocation decomposes exactly over connected
 components (progressive filling never couples flows that share no link),
 the per-component allocation is the same as a global recompute would give;
@@ -40,41 +50,24 @@ floor as streams are added); network links keep the default of 1.0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set
-
-import numpy as np
 
 from ..simulate.core import Event, Simulator
 
 __all__ = ["Link", "Flow", "FluidNetwork", "FluidEngineStats",
-           "stream_efficiency", "DEFAULT_SOLVER", "SOLVERS"]
+           "stream_efficiency"]
 
 #: Residual bytes below which a flow counts as finished (absorbs FP error).
 _EPS_BYTES = 1e-3
 #: Residual capacity below which a link counts as saturated.
 _EPS_RATE = 1e-9
 
-#: Solver used when ``FluidNetwork(solver=None)``.  ``"scalar"`` is the
-#: original per-link dict loop, ``"vector"`` the numpy matrix pass, and
-#: ``"auto"`` picks per component: numpy's fixed call overhead beats the
-#: dict loop only once a component is big enough.  All three produce
-#: byte-identical rates (the parity suite asserts it): the vector pass
-#: performs the same IEEE additions/divisions in the same per-flow order.
-DEFAULT_SOLVER = "auto"
-
-SOLVERS = ("auto", "scalar", "vector")
-
-#: ``"auto"`` switches to the vectorized fill at this component size.
-#: Measured crossover (see docs/performance.md): because every transfer
-#: start/completion perturbs component membership, the incidence matrix is
-#: rebuilt per recompute, and numpy's per-call overhead keeps the matrix
-#: pass *slower* than the dict loop on every tested shape up to 512 flows
-#: (0.4-0.9x).  The threshold is therefore set beyond any component the
-#: migration scenarios produce; ``solver="vector"`` remains available as
-#: the parity-checked opt-in for genuinely huge components.
-_VECTOR_MIN_FLOWS = 4096
+_by_seq = attrgetter("seq")
+_path = attrgetter("path")
 
 
 def stream_efficiency(per_stream: float, floor: float) -> Callable[[int], float]:
@@ -214,14 +207,16 @@ class _Component:
 
     Owns its own sync clock and completion guard so population changes in
     one component never touch the calendar entries (or the remaining-byte
-    counters) of any other.
+    counters) of any other.  ``flows`` is an insertion-ordered dict kept in
+    flow start order (``Flow.seq``), so everything order-sensitive iterates
+    it directly instead of sorting a set.
     """
 
     __slots__ = ("flows", "links", "last_sync", "generation", "alive",
-                 "guard")
+                 "guard", "dirty")
 
     def __init__(self, now: float):
-        self.flows: Set[Flow] = set()
+        self.flows: Dict[Flow, None] = {}
         self.links: Set[Link] = set()
         self.last_sync: float = now
         #: Bumped on every population change; stale guard events no-op.
@@ -231,20 +226,31 @@ class _Component:
         #: The pending completion-guard event, cancelled when superseded so
         #: the calendar drops it instead of dispatching a no-op callback.
         self.guard: Optional[Event] = None
+        #: True from a population change until the pre-advance refill.
+        self.dirty: bool = False
 
-    def absorb(self, other: "_Component") -> None:
-        self.flows |= other.flows
-        self.links |= other.links
-        other.alive = False
-        guard = other.guard
+    def drop_guard(self) -> None:
+        """Cancel the pending completion guard so the calendar drops it
+        instead of dispatching a no-op.  A guard that already fired has
+        ``callbacks is None`` — leave it."""
+        guard = self.guard
         if guard is not None:
-            other.guard = None
+            self.guard = None
             if guard.callbacks:
                 guard.callbacks = []
                 guard.cancel()
 
+    def absorb(self, other: "_Component") -> None:
+        self.flows = dict.fromkeys(sorted([*self.flows, *other.flows],
+                                          key=_by_seq))
+        self.links |= other.links
+        other.alive = False
+        other.drop_guard()
+
     def add_flow(self, flow: Flow) -> None:
-        self.flows.add(flow)
+        # The newest flow has the network's highest seq: appending keeps
+        # ``flows`` in start order.
+        self.flows[flow] = None
         for link in flow.path:
             self.links.add(link)
             link.flows.add(flow)
@@ -269,14 +275,12 @@ class FluidNetwork:
     total number of active flows.
     """
 
-    def __init__(self, sim: Simulator, solver: Optional[str] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.solver = solver if solver is not None else DEFAULT_SOLVER
-        if self.solver not in SOLVERS:
-            raise ValueError(
-                f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
         self._flows: Set[Flow] = set()
         self._components: Set[_Component] = set()
+        #: Components awaiting their refill, in the order they were marked.
+        self._dirty: List[_Component] = []
         self._flow_seq = count()
         self.stats = FluidEngineStats()
         m = sim.metrics
@@ -339,7 +343,7 @@ class FluidNetwork:
         self._components.add(merged)
         self._flows.add(flow)
         self._m_started.inc()
-        self._reschedule(merged)
+        self._mark_dirty(merged)
         return ev
 
     @property
@@ -357,9 +361,9 @@ class FluidNetwork:
         dt = now - comp.last_sync
         if dt > 0:
             # Accumulate in flow start order: float addition is not
-            # associative, and iterating the set directly made the last
-            # ulp of ``bytes_carried`` depend on allocation addresses.
-            for flow in sorted(comp.flows, key=lambda f: f.seq):
+            # associative, and iterating a set made the last ulp of
+            # ``bytes_carried`` depend on allocation addresses.
+            for flow in comp.flows:
                 moved = flow.rate * dt
                 flow.remaining -= moved
                 for link in flow.path:
@@ -387,127 +391,85 @@ class FluidNetwork:
             trace.record(self.sim.now, "fluid.recompute",
                          flows=len(comp.flows), links=len(comp.links),
                          components=len(self._components))
-        for flow in comp.flows:
-            flow.rate = 0.0
         if not comp.flows:
             return
-        if self.solver == "vector" or (self.solver == "auto"
-                                       and len(comp.flows) >= _VECTOR_MIN_FLOWS):
-            self._fill_vector(comp)
-        else:
-            self._fill_scalar(comp)
+        self._fill(comp)
         if self._metrics_on:
             self._m_util.set(max((link.utilization for link in comp.links),
                                  default=0.0))
 
-    def _fill_scalar(self, comp: _Component) -> None:
-        """The original per-link dict loop of the progressive fill."""
-        links: Dict[Link, float] = {}
-        unfrozen_on: Dict[Link, int] = {}
-        for flow in comp.flows:
-            for link in flow.path:
-                if link not in links:
-                    links[link] = link.effective_capacity()
-                    unfrozen_on[link] = 0
-                unfrozen_on[link] += 1
-        unfrozen: Set[Flow] = set(comp.flows)
-        while unfrozen:
+    def _fill(self, comp: _Component) -> None:
+        """One progressive fill over the component's links.
+
+        Every unfrozen flow rises by the same increments, so they share one
+        running ``level`` (the very float additions a per-flow ``rate +=
+        inc`` would do) and a flow's rate is written once, when it freezes.
+        ``unfrozen_on`` counts path occurrences and holds only links that
+        still carry unfrozen flows.
+        """
+        flows = comp.flows
+        unfrozen_on = dict(Counter(chain.from_iterable(map(_path, flows))))
+        residual = {link: link.effective_capacity() for link in unfrozen_on}
+        unfrozen: Set[Flow] = set(flows)
+        level = 0.0
+        while True:
             # Smallest equal increment that saturates some link.
-            inc = min(
-                links[link] / unfrozen_on[link]
-                for link in links
-                if unfrozen_on[link] > 0
-            )
-            for flow in unfrozen:
-                flow.rate += inc
+            inc = min(residual[link] / n for link, n in unfrozen_on.items())
+            level += inc
             saturated: List[Link] = []
-            for link in links:
-                n = unfrozen_on[link]
-                if n > 0:
-                    links[link] -= inc * n
-                    if links[link] <= _EPS_RATE * link.capacity + _EPS_RATE:
-                        saturated.append(link)
+            for link, n in unfrozen_on.items():
+                left = residual[link] - inc * n
+                residual[link] = left
+                if left <= _EPS_RATE * link.capacity + _EPS_RATE:
+                    saturated.append(link)
             if not saturated:
                 # All remaining links have infinite headroom relative to the
                 # computed increment — cannot happen with finite capacities.
                 break
-            frozen_now = {f for l in saturated for f in l.flows if f in unfrozen}
+            frozen_now = unfrozen.intersection(
+                chain.from_iterable(link.flows for link in saturated))
             unfrozen -= frozen_now
             for flow in frozen_now:
+                flow.rate = level
+            if not unfrozen:
+                return
+            for flow in frozen_now:
                 for link in flow.path:
-                    unfrozen_on[link] -= 1
+                    n = unfrozen_on[link] - 1
+                    if n:
+                        unfrozen_on[link] = n
+                    else:
+                        del unfrozen_on[link]
+        for flow in unfrozen:
+            flow.rate = level
 
-    def _fill_vector(self, comp: _Component) -> None:
-        """Progressive fill as numpy matrix passes over the whole component.
+    def _mark_dirty(self, comp: _Component) -> None:
+        """Invalidate the component's allocation after a population change.
 
-        Bit-for-bit equivalent to :meth:`_fill_scalar`: the same IEEE
-        double additions, subtractions and divisions happen with the same
-        operands in the same per-element order — only the Python-level
-        iteration is replaced by array ops.  Path *occurrences* (a path
-        crossing a link twice) are counted, matching the scalar loop.
+        The stale guard goes right away; the refill waits until the kernel
+        is about to advance the clock, so every population change at one
+        instant shares a single progressive fill per component.
         """
-        flow_list = list(comp.flows)
-        nflows = len(flow_list)
-        link_index: Dict[Link, int] = {}
-        link_list: List[Link] = []
-        rows: List[int] = []
-        cols: List[int] = []
-        for fi, flow in enumerate(flow_list):
-            for link in flow.path:
-                li = link_index.get(link)
-                if li is None:
-                    li = link_index[link] = len(link_list)
-                    link_list.append(link)
-                rows.append(fi)
-                cols.append(li)
-        nlinks = len(link_list)
-        # usage[f, l]: how many times flow f's path crosses link l.
-        flat = np.asarray(rows, dtype=np.intp) * nlinks \
-            + np.asarray(cols, dtype=np.intp)
-        usage = np.bincount(flat, minlength=nflows * nlinks) \
-            .astype(np.float64).reshape(nflows, nlinks)
-        residual = np.array([link.effective_capacity() for link in link_list])
-        thresh = np.array([_EPS_RATE * link.capacity + _EPS_RATE
-                           for link in link_list])
-        counts = usage.sum(axis=0)  # unfrozen path-occurrences per link
-        rates = np.zeros(nflows)
-        # Masks are kept as 0.0/1.0 floats so the per-round updates are
-        # mask-multiplies and BLAS matvecs instead of fancy indexing.
-        # Adding ``inc * 0.0`` to a frozen rate and subtracting ``inc *
-        # 0.0`` from an idle link's residual are IEEE no-ops, so this
-        # stays bit-identical to the masked scalar updates.
-        unfrozen = np.ones(nflows)
-        while unfrozen.any():
-            active = counts > 0.0
-            if not active.any():
-                break
-            inc = (residual[active] / counts[active]).min()
-            rates += inc * unfrozen
-            residual -= inc * counts
-            saturated = active & (residual <= thresh)
-            if not saturated.any():
-                break  # mirrors the scalar loop's impossible-headroom guard
-            crossing = usage @ saturated.astype(np.float64)
-            frozen_now = unfrozen * (crossing > 0.0)
-            unfrozen -= frozen_now
-            counts -= frozen_now @ usage
-        for fi, flow in enumerate(flow_list):
-            flow.rate = float(rates[fi])
+        comp.generation += 1
+        comp.drop_guard()
+        if not comp.dirty:
+            comp.dirty = True
+            if not self._dirty:
+                self.sim.call_before_advance(self._flush)
+            self._dirty.append(comp)
+
+    def _flush(self) -> None:
+        """Refill every still-alive dirty component, in mark order."""
+        dirty, self._dirty = self._dirty, []
+        for comp in dirty:
+            comp.dirty = False
+            if comp.alive:
+                self._reschedule(comp)
 
     def _reschedule(self, comp: _Component) -> None:
         """Recompute the component's rates and arm its completion guard."""
         self._recompute_rates(comp)
-        comp.generation += 1
         gen = comp.generation
-        old_guard = comp.guard
-        if old_guard is not None:
-            # The previous guard is superseded; cancelling lets the
-            # calendar drop it unpopped instead of dispatching a no-op.
-            # A guard that already fired has callbacks == None — leave it.
-            comp.guard = None
-            if old_guard.callbacks:
-                old_guard.callbacks = []
-                old_guard.cancel()
         if not comp.flows:
             comp.alive = False
             self._components.discard(comp)
@@ -533,16 +495,14 @@ class FluidNetwork:
         if not comp.alive or generation != comp.generation:
             return  # superseded by a later population change or a merge
         self._sync(comp)
+        # Flows finishing at the same instant succeed in start order (the
+        # order of comp.flows), or the trace and any same-time tie-break
+        # downstream would depend on allocation addresses.
         done = [f for f in comp.flows if f.remaining <= _EPS_BYTES]
-        # comp.flows iterates by id-hash, which varies run to run; flows
-        # finishing at the same instant must succeed in start order or the
-        # trace (and any same-time tie-break downstream) goes
-        # nondeterministic.
-        done.sort(key=lambda f: f.seq)
         for flow in done:
             flow.remaining = 0.0
             self._flows.discard(flow)
-            comp.flows.discard(flow)
+            del comp.flows[flow]
             for link in flow.path:
                 link.flows.discard(flow)
             self._m_completed.inc()
@@ -555,23 +515,19 @@ class FluidNetwork:
                 if link.component is comp:
                     link.component = None
             return
-        # Removing flows may have disconnected the component; re-partition
-        # and refill each piece independently (work stays linear in the old
-        # component's size, and smaller pieces decouple future events).
-        pieces = self._partition(comp)
-        live_links: Set[Link] = set()
-        for _flows, links in pieces:
-            live_links |= links
-        for link in comp.links - live_links:
-            # Links used only by the finished flows go idle; leaving a stale
-            # pointer would glue future flows to this component for no reason.
-            if link.component is comp:
-                link.component = None
-        if len(pieces) == 1:
-            comp.flows, comp.links = pieces[0]
-            comp.claim_links()
-            self._reschedule(comp)
+        touched = {link for flow in done for link in flow.path}
+        # Links used only by the finished flows go idle; leaving a stale
+        # pointer would glue future flows to this component for no reason.
+        idle = [link for link in touched if not link.flows]
+        for link in idle:
+            link.component = None
+        if self._still_connected(touched):
+            comp.links.difference_update(idle)
+            self._mark_dirty(comp)
             return
+        # The finished flows were a bridge: re-partition and refill each
+        # piece independently (smaller pieces decouple future events).
+        pieces = self._partition(comp)
         comp.alive = False
         self._components.discard(comp)
         self.stats.splits += len(pieces) - 1
@@ -582,7 +538,39 @@ class FluidNetwork:
             piece.links = links
             piece.claim_links()
             self._components.add(piece)
-            self._reschedule(piece)
+            self._mark_dirty(piece)
+
+    @staticmethod
+    def _still_connected(touched: Set[Link]) -> bool:
+        """Whether a component is still whole after flows left it.
+
+        It was connected before, and the departed flows joined it only
+        through ``touched``, their links.  So it stays connected exactly
+        when every touched link that still carries flows can reach the
+        others.  The walk starts at one of them and stops as soon as it has
+        seen them all, which in a densely coupled component (PVFS striping)
+        takes a hop or two instead of a full partition.
+        """
+        targets = {link for link in touched if link.flows}
+        if len(targets) <= 1:
+            return True
+        start = targets.pop()
+        seen_links = {start}
+        seen_flows: Set[Flow] = set()
+        stack = [start]
+        while stack:
+            for flow in stack.pop().flows:
+                if flow in seen_flows:
+                    continue
+                seen_flows.add(flow)
+                for link in flow.path:
+                    if link not in seen_links:
+                        seen_links.add(link)
+                        targets.discard(link)
+                        if not targets:
+                            return True
+                        stack.append(link)
+        return False
 
     @staticmethod
     def _partition(comp: _Component) -> List[tuple]:
@@ -596,7 +584,7 @@ class FluidNetwork:
         # Deterministic piece order: seed the walk in flow start order so
         # the pieces (and therefore their reschedule order and guard
         # sequence numbers) are identical across runs.
-        for start in sorted(comp.flows, key=lambda f: f.seq):
+        for start in comp.flows:
             if start in visited:
                 continue
             flows: Set[Flow] = set()
@@ -614,5 +602,5 @@ class FluidNetwork:
                         if g not in visited:
                             visited.add(g)
                             stack.append(g)
-            pieces.append((flows, links))
+            pieces.append((dict.fromkeys(sorted(flows, key=_by_seq)), links))
         return pieces

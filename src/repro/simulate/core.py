@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from itertools import count
-from typing import Any, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
     "Simulator",
@@ -489,6 +489,10 @@ class Simulator:
         #: Optional telemetry probe; ``None`` keeps the run loop at one
         #: float comparison per event (``when >= inf`` is always false).
         self._probe: Any = None
+        #: One-shot hooks run just before the clock next advances (see
+        #: :meth:`call_before_advance`).  The run loop tests it once per
+        #: event, so it must stay the same list object.
+        self._before_advance: List[Callable[[], None]] = []
         self.trace = trace
         self.metrics = metrics
 
@@ -605,6 +609,28 @@ class Simulator:
         return AllOf(self, list(events))
 
     # -- scheduling -------------------------------------------------------------
+    def call_before_advance(self, hook: Callable[[], None]) -> None:
+        """Run ``hook()`` once, after the last event at the current instant.
+
+        The kernel calls pending hooks before it pops an entry later than
+        ``now`` (in :meth:`run` and :meth:`step` alike), before :meth:`run`
+        returns on an empty calendar or at an ``until`` time, and from
+        :meth:`peek`.  A run stopped by an ``until`` *event* returns
+        mid-instant; its hooks run on the next call.  A hook may schedule
+        events (at ``now`` or later); it adds none of its own.  Hooks run
+        in registration order.  This is how the fluid engine coalesces
+        every population change at one instant into one rate recompute.
+        """
+        self._before_advance.append(hook)
+
+    def _run_before_advance(self) -> None:
+        hooks = self._before_advance
+        while hooks:
+            pending = hooks[:]
+            hooks.clear()
+            for hook in pending:
+                hook()
+
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
         self._queue.push((self._now + delay, priority, next(self._seq), event))
 
@@ -629,7 +655,12 @@ class Simulator:
             return entry
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the calendar is empty."""
+        """Time of the next scheduled event, or ``inf`` if the calendar is empty.
+
+        Pending before-advance hooks run first: they may schedule it.
+        """
+        if self._before_advance:
+            self._run_before_advance()
         entry = self._peek_live()
         return entry[0] if entry is not None else float("inf")
 
@@ -646,6 +677,9 @@ class Simulator:
     def step(self) -> None:
         """Process exactly one event."""
         entry = self._peek_live()
+        if self._before_advance and (entry is None or entry[0] > self._now):
+            self._run_before_advance()
+            entry = self._peek_live()
         if entry is None:
             raise SimulationError("step() on an empty calendar")
         self._queue.pop()
@@ -705,10 +739,17 @@ class Simulator:
         # advance and before the event's callbacks, same as step().
         probe = self._probe
         probe_next = probe.next_time if probe is not None else float("inf")
+        # Pending before-advance hooks: one list truthiness test per event.
+        # They run before the clock moves on (or the loop stops), then the
+        # head is re-peeked, since a hook may have scheduled earlier work.
+        before_advance = self._before_advance
         try:
             while True:
                 entry = peek_entry()
                 if entry is None:
+                    if before_advance:
+                        self._run_before_advance()
+                        continue
                     break
                 event = entry[3]
                 if event._cancelled and not event.callbacks:
@@ -717,6 +758,9 @@ class Simulator:
                     self.events_cancelled += 1
                     continue
                 when = entry[0]
+                if before_advance and when > self._now:
+                    self._run_before_advance()
+                    continue
                 if when > stop_at:
                     break
                 queue_pop()

@@ -116,6 +116,7 @@ def test_fluid_engine_stats_surface():
     l1, l2 = Link("l1", 100.0), Link("l2", 100.0)
     net.transfer([l1], 500.0)
     net.transfer([l2], 500.0)
+    sim.run(until=sim.now)
     row = fluid_engine_stats(net)
     assert row["recomputes"] == 2
     assert row["flows_visited"] == 2  # scoped: each recompute saw 1 flow

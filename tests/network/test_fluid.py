@@ -111,6 +111,7 @@ def test_water_filling_rates_snapshot():
     b = Link("b", capacity=10.0)
     net.transfer([a], 1e9)
     net.transfer([a, b], 1e9)
+    sim.run(until=sim.now)  # settle: the refill runs before the clock moves
     flows = sorted(net._flows, key=lambda f: len(f.path))
     assert flows[0].rate == pytest.approx(90.0, rel=1e-6)
     assert flows[1].rate == pytest.approx(10.0, rel=1e-6)
@@ -229,8 +230,10 @@ def test_disjoint_recomputes_do_not_visit_other_components():
     l1, l2 = Link("l1", 100.0), Link("l2", 100.0)
     for _ in range(8):
         net.transfer([l1], 1000.0)
+    sim.run(until=sim.now)
     baseline = net.stats.flows_visited
     net.transfer([l2], 1000.0)
+    sim.run(until=sim.now)
     # The new flow's recompute visited exactly itself, not the 8 others.
     assert net.stats.flows_visited == baseline + 1
     assert net.stats.peak_component_size == 8
@@ -245,10 +248,14 @@ def test_stats_visits_per_recompute():
     link = Link("l", 100.0)
     net.transfer([link], 100.0)
     net.transfer([link], 100.0)
-    assert net.stats.recomputes == 2
-    assert net.stats.visits_per_recompute() == pytest.approx(1.5)
+    assert net.stats.recomputes == 0  # nothing filled until the kernel settles
+    sim.run(until=sim.now)
+    # Two same-instant transfers: one recompute over both flows.
+    assert net.stats.recomputes == 1
+    assert net.stats.flows_visited == 2
+    assert net.stats.visits_per_recompute() == 2.0
     d = net.stats.as_dict()
-    assert d["recomputes"] == 2 and d["peak_component_size"] == 2
+    assert d["recomputes"] == 1 and d["peak_component_size"] == 2
     sim.run()
 
 
@@ -275,9 +282,10 @@ def test_recompute_trace_records_component_size():
     link = Link("l", 100.0)
     net.transfer([link], 100.0)
     net.transfer([link], 100.0)
+    sim.run(until=sim.now)
     recs = sim.trace.of_kind("fluid.recompute")
-    assert len(recs) == 2
-    assert recs[0]["flows"] == 1 and recs[1]["flows"] == 2
+    assert len(recs) == 1
+    assert recs[0]["flows"] == 2 and recs[0]["links"] == 1
     sim.run()
 
 
@@ -293,6 +301,7 @@ def test_utilization_uses_effective_capacity():
     net.transfer([link], 1000.0)
     net.transfer([link], 1000.0)
     net.transfer([link], 1000.0)
+    sim.run(until=sim.now)
     # 3 streams -> effective capacity 40, fully allocated.
     assert sum(f.rate for f in link.flows) == pytest.approx(40.0)
     assert link.utilization == pytest.approx(1.0)
@@ -303,6 +312,88 @@ def test_utilization_without_efficiency_curve():
     sim, net = make()
     link = Link("l", capacity=100.0)
     net.transfer([link], 1000.0)
+    sim.run(until=sim.now)
     assert link.utilization == pytest.approx(1.0)
     sim.run()
     assert link.utilization == 0.0
+
+
+# -- coalesced recompute ----------------------------------------------------
+
+def test_same_instant_transfers_cost_one_fill():
+    """64 transfers into one component at one instant: exactly one
+    progressive fill, and its rates equal a global fill over all flows."""
+    from tests.network.test_network_properties import reference_global_rates
+
+    sim, net = make()
+    server = Link("pvfs.disk", 400.0,
+                  efficiency=stream_efficiency(per_stream=0.01, floor=0.5))
+    hcas = [Link(f"node{i}.hca", 10.0 + i) for i in range(8)]
+    for i in range(64):
+        net.transfer([hcas[i % 8], server], 1000.0 * (1 + i % 5))
+    sim.run(until=sim.now)
+    assert net.stats.recomputes == 1
+    assert net.stats.flows_visited == 64
+    assert net.active_components == 1
+    expected = reference_global_rates(net._flows)
+    for flow, rate in expected.items():
+        assert flow.rate == pytest.approx(rate, rel=1e-9), flow.label
+    sim.run()
+    assert net.active_flows == 0
+
+
+def test_run_until_settles_dirty_components_before_returning():
+    sim, net = make()
+    link = Link("l", 100.0)
+    net.transfer([link], 1000.0)
+    net.transfer([link], 1000.0)
+    sim.timeout(100.0)  # the head lies past ``until``, so run() stops on it
+    sim.run(until=3.0)
+    assert sim.now == 3.0
+    assert net.stats.recomputes == 1
+    assert sorted(f.rate for f in link.flows) == [50.0, 50.0]
+    # Settled at t=0, so the flows drained at 50 B/s from the start.
+    done = net.transfer([link], 1000.0)
+    sim.run(until=done)
+    assert net.stats.recomputes == 3  # the join at t=3, two finish at t=28.5
+    assert sim.now == pytest.approx(30.0, rel=1e-9)
+
+
+def test_step_settles_dirty_components_before_advancing():
+    sim, net = make()
+    link = Link("l", 100.0)
+    net.transfer([link], 1000.0)
+    net.transfer([link], 1000.0)
+    sim.timeout(1.0)
+    sim.step()  # the refill runs before the clock leaves t=0
+    assert sim.now == 1.0
+    assert net.stats.recomputes == 1
+    assert sorted(f.rate for f in link.flows) == [50.0, 50.0]
+    # With only the guard left, step() refills nothing more and pops it.
+    sim.step()
+    assert sim.now == pytest.approx(20.0, rel=1e-9)
+    assert net.stats.recomputes == 1
+
+
+def test_completion_then_transfer_at_same_instant_cost_one_fill():
+    """A flow finishing at t frees bandwidth that a transfer started at t
+    takes up: the component is refilled once, not once per change."""
+    sim, net = make()
+    link = Link("l", 100.0)
+    short = net.transfer([link], 500.0)
+    net.transfer([link], 5000.0)
+
+    def follow_on(sim):
+        yield short
+        net.transfer([link], 500.0)
+
+    sim.spawn(follow_on(sim))
+    sim.run(until=sim.now)
+    assert net.stats.recomputes == 1
+    sim.run(until=10.0)  # short finishes at 500 B / 50 B/s
+    assert short.processed
+    assert net.stats.recomputes == 2
+    assert net.stats.flows_visited == 2 + 2
+    assert sorted(f.rate for f in link.flows) == [50.0, 50.0]
+    sim.run()
+    assert net.active_flows == 0

@@ -99,8 +99,8 @@ def reference_global_rates(flows):
 @settings(max_examples=25, deadline=None)
 def test_component_scoped_rates_match_global_fill(seed):
     """The max-min allocation decomposes over connected components: for any
-    random population the scoped engine's rates must equal a global
-    progressive fill over all flows at once."""
+    random population, and after every completion, the scoped engine's
+    rates must equal a global progressive fill over all flows at once."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -120,11 +120,18 @@ def test_component_scoped_rates_match_global_fill(seed):
             idx = sorted(rng.choice(9, size=2, replace=False))
             path = [flat[i] for i in idx]
         net.transfer(path, float(rng.uniform(100, 10_000)))
-    expected = reference_global_rates(net._flows)
-    for flow, rate in expected.items():
-        assert flow.rate == pytest.approx(rate, rel=1e-9), flow.label
+    sim.run(until=sim.now)  # settle the same-instant refills
+    # Check every settled instant as completions shrink and split the
+    # population: each component is connected, and its rates still equal
+    # the global fill.
+    while net.active_flows:
+        for comp in net._components:
+            assert len(FluidNetwork._partition(comp)) == 1
+        expected = reference_global_rates(net._flows)
+        for flow, rate in expected.items():
+            assert flow.rate == pytest.approx(rate, rel=1e-9), flow.label
+        sim.run(until=sim.peek())
     sim.run()
-    assert net.active_flows == 0
     assert net.active_components == 0
 
 
@@ -143,7 +150,8 @@ def test_rates_never_exceed_capacity(seed):
         path = [links[i] for i in sorted(
             rng.choice(4, size=rng.integers(1, 4), replace=False))]
         net.transfer(path, float(rng.uniform(100, 10_000)))
-    # Inspect the allocation right after setup.
+    # Inspect the allocation right after setup has settled.
+    sim.run(until=sim.now)
     for link in links:
         allocated = sum(f.rate for f in link.flows)
         assert allocated <= link.effective_capacity() * (1 + 1e-9)

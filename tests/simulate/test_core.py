@@ -399,6 +399,58 @@ def test_step_on_empty_calendar_raises():
         sim.step()
 
 
+# -- before-advance hooks -----------------------------------------------------
+
+def test_before_advance_hooks_run_after_the_last_event_of_an_instant():
+    sim = Simulator()
+    seen = []
+
+    def proc(sim, name, hook):
+        yield sim.timeout(1.0)
+        seen.append((name, sim.now))
+        if hook:
+            sim.call_before_advance(lambda: seen.append((f"hook-{name}",
+                                                         sim.now)))
+
+    sim.spawn(proc(sim, "a", hook=True))
+    sim.spawn(proc(sim, "b", hook=True))
+    sim.spawn(proc(sim, "c", hook=False))
+    sim.timeout(2.0)
+    sim.run()
+    assert seen == [("a", 1.0), ("b", 1.0), ("c", 1.0),
+                    ("hook-a", 1.0), ("hook-b", 1.0)]
+    assert sim.now == 2.0
+    # 3 starts, 3 timeouts, 3 process exits and the t=2 timeout: the
+    # hooks added no events.
+    assert sim.events_processed == 3 + 3 + 3 + 1
+
+
+@pytest.mark.parametrize("drive", ["run", "run_until", "step", "peek"])
+def test_before_advance_hook_work_runs_before_the_clock_moves(drive):
+    """A hook that schedules work at ``now`` sees it dispatched at ``now``,
+    and a hook pending on an otherwise empty calendar still runs."""
+    sim = Simulator()
+    fired = []
+
+    def hook():
+        ev = sim.event()
+        ev.callbacks.append(lambda e: fired.append(sim.now))
+        ev.succeed()
+
+    sim.call_before_advance(hook)
+    if drive == "run":
+        sim.run()
+    elif drive == "run_until":
+        sim.run(until=0.0)
+    elif drive == "step":
+        sim.step()
+    else:
+        assert sim.peek() == 0.0
+        sim.step()
+    assert fired == [0.0]
+    assert sim.now == 0.0
+
+
 def test_is_alive_transitions():
     sim = Simulator()
 

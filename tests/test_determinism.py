@@ -1,20 +1,20 @@
-"""Cross-implementation determinism: one scenario, three kernel axes.
+"""Cross-implementation determinism: one scenario, two kernel axes.
 
-The heap and calendar schedulers must produce *byte-identical* traces, and
-so must the scalar and vectorized fluid solvers — same seed, same JSONL,
-down to the last bit of every float.  This is the contract that makes the
-alternative implementations safe to swap: any divergence, however small,
-fails here before it can silently skew a benchmark.
+The heap and calendar schedulers must produce *byte-identical* traces —
+same seed, same JSONL, down to the last bit of every float.  This is the
+contract that makes the alternative implementations safe to swap: any
+divergence, however small, fails here before it can silently skew a
+benchmark.
 
-The third axis is the shard count.  ``shards=1`` is the compatibility
+The second axis is the shard count.  ``shards=1`` is the compatibility
 path: ``Scenario.build`` runs the paper testbed on a single
 ``EventShard`` and must replay the pre-refactor Fig. 4 trace
 byte-for-byte (the fig4 matrix below *is* that check — every run goes
 through ``ShardedSimulator(shards=1)``).  ``shards>1`` cannot promise
 byte-equality *against* the single-shard trace (mailbox crossings pay
 the lookahead), so its contract is run-to-run stability: the same
-seed replays the same JSONL and the same counters on every run, across
-the scheduler x solver matrix, in a scenario that exercises the two
+seed replays the same JSONL and the same counters on every run, under
+both schedulers, in a scenario that exercises the two
 cross-shard paths — FTB alarms bridged between backplanes and a spare
 restart landing in a different shard than the failure.
 """
@@ -29,7 +29,6 @@ import repro.cluster.osproc as osproc
 import repro.core.buffer_manager as buffer_manager
 import repro.ftb.events as ftb_events
 import repro.mpi.transport as transport
-import repro.network.fluid as fluid
 import repro.network.qp as qp
 from repro.scenario import Scenario
 from repro.simulate import Tracer
@@ -49,9 +48,8 @@ def _reset_global_counters(monkeypatch):
     monkeypatch.setattr(buffer_manager, "_chunk_seq", count())
 
 
-def _trace_jsonl(scheduler, solver, monkeypatch, telemetry=False):
+def _trace_jsonl(scheduler, monkeypatch, telemetry=False):
     _reset_global_counters(monkeypatch)
-    monkeypatch.setattr(fluid, "DEFAULT_SOLVER", solver)
     tracer = Tracer()
     sc = Scenario.build(app="LU.C", nprocs=64, n_compute=8, n_spare=1,
                         iterations=40, seed=0, trace=tracer,
@@ -66,13 +64,12 @@ def _trace_jsonl(scheduler, solver, monkeypatch, telemetry=False):
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-@pytest.mark.parametrize("solver", ["scalar", "vector"])
-def test_fig4_trace_is_identical_across_kernel_configs(
-        scheduler, solver, monkeypatch):
-    """Every (scheduler, solver) combination replays the Fig. 4 LU.C
-    migration to the same byte-exact trace as the reference config."""
-    ref_total, ref_lines = _trace_jsonl("heap", "scalar", monkeypatch)
-    total, lines = _trace_jsonl(scheduler, solver, monkeypatch)
+def test_fig4_trace_is_identical_across_kernel_configs(scheduler,
+                                                       monkeypatch):
+    """Every scheduler replays the Fig. 4 LU.C migration to the same
+    byte-exact trace as the reference config."""
+    ref_total, ref_lines = _trace_jsonl("heap", monkeypatch)
+    total, lines = _trace_jsonl(scheduler, monkeypatch)
     assert total == ref_total
     if lines != ref_lines:
         got = lines.splitlines()
@@ -88,9 +85,8 @@ def test_trace_is_identical_with_telemetry_enabled(scheduler, monkeypatch):
     """The telemetry probe is pure observation: with it attached the
     matrix still replays byte-identically, and stripping its own records
     recovers the probe-less trace exactly."""
-    ref_total, ref_lines = _trace_jsonl("heap", "scalar", monkeypatch)
-    total, lines = _trace_jsonl(scheduler, "scalar", monkeypatch,
-                                telemetry=True)
+    ref_total, ref_lines = _trace_jsonl("heap", monkeypatch)
+    total, lines = _trace_jsonl(scheduler, monkeypatch, telemetry=True)
     assert total == ref_total
     kept = "\n".join(line for line in lines.splitlines()
                      if '"kind": "telemetry.sample"' not in line)
@@ -98,12 +94,11 @@ def test_trace_is_identical_with_telemetry_enabled(scheduler, monkeypatch):
     assert len(kept) < len(lines), "probe must actually have sampled"
 
 
-def _cluster_trace_jsonl(scheduler, solver, shards, monkeypatch):
+def _cluster_trace_jsonl(scheduler, shards, monkeypatch):
     """One seeded cluster-scale run -> (results dict, trace JSONL)."""
     from repro.cluster import ClusterScale
 
     _reset_global_counters(monkeypatch)
-    monkeypatch.setattr(fluid, "DEFAULT_SOLVER", solver)
     tracer = Tracer()
     cs = ClusterScale(n_nodes=256, n_jobs=16, shards=shards, seed=0,
                       trace=tracer, scheduler=scheduler)
@@ -114,16 +109,13 @@ def _cluster_trace_jsonl(scheduler, solver, shards, monkeypatch):
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-@pytest.mark.parametrize("solver", ["scalar", "vector"])
 @pytest.mark.parametrize("shards", [1, 4])
-def test_cluster_trace_is_stable_across_runs(scheduler, solver, shards,
+def test_cluster_trace_is_stable_across_runs(scheduler, shards,
                                              monkeypatch):
     """Back-to-back sharded cluster runs replay identically: same
     counters, same trace bytes — on every cell of the matrix."""
-    res_a, lines_a = _cluster_trace_jsonl(scheduler, solver, shards,
-                                          monkeypatch)
-    res_b, lines_b = _cluster_trace_jsonl(scheduler, solver, shards,
-                                          monkeypatch)
+    res_a, lines_a = _cluster_trace_jsonl(scheduler, shards, monkeypatch)
+    res_b, lines_b = _cluster_trace_jsonl(scheduler, shards, monkeypatch)
     assert res_a == res_b
     assert lines_a == lines_b
     assert res_a["jobs_completed"] == 16
@@ -144,8 +136,8 @@ def test_cluster_shard_counts_agree_on_failure_schedule(scheduler,
     """Sharding changes event-loop mechanics, not the modelled cluster:
     the per-job RNG streams draw identically, so 1-shard and 4-shard
     runs see the same failures and finish the same jobs."""
-    res_1, _ = _cluster_trace_jsonl(scheduler, "scalar", 1, monkeypatch)
-    res_4, _ = _cluster_trace_jsonl(scheduler, "scalar", 4, monkeypatch)
+    res_1, _ = _cluster_trace_jsonl(scheduler, 1, monkeypatch)
+    res_4, _ = _cluster_trace_jsonl(scheduler, 4, monkeypatch)
     assert res_1["failures"] == res_4["failures"]
     assert res_1["jobs_completed"] == res_4["jobs_completed"] == 16
     assert res_1["checkpoints"] == res_4["checkpoints"]
