@@ -40,7 +40,7 @@ from repro.analysis import (
     speedup,
     write_jsonl,
 )
-from repro.scenario import Scenario
+from repro.scenario import Scenario, reset_global_counters
 from repro.simulate import Tracer
 
 from .paper_reference import (
@@ -74,6 +74,13 @@ def default_baselines_path() -> str:
 def _traced_migration(app: str, nprocs: int = 64, n_compute: int = 8,
                       seed: int = 0,
                       restart_mode: str = "file") -> Tuple[Any, Tracer]:
+    """One traced Fig. 4-style migration of ``node3`` at t=5 s.
+
+    The global id counters are rewound first, so the trace is the same
+    whatever ran earlier in the process — the pinned baseline trace and
+    the regression explainer's replays both depend on that.
+    """
+    reset_global_counters()
     tracer = Tracer()
     sc = Scenario.build(app=app, nprocs=nprocs, n_compute=n_compute,
                         n_spare=1, iterations=40, seed=seed, trace=tracer,
@@ -257,8 +264,8 @@ def bench_pipeline(restart_mode: str = "file") -> Dict[str, Any]:
             "dominant": dominants}
 
 
-def _kernel_sweep(scheduler: str) -> Tuple[Dict[str, float], float]:
-    """Untraced Fig. 6 ranks/node sweep under one scheduler.
+def _kernel_sweep() -> Tuple[Dict[str, float], float]:
+    """Untraced Fig. 6 ranks/node sweep.
 
     Returns deterministic kernel counters (pinnable) and the wall time of
     the simulation runs alone (build excluded — scenario assembly is not
@@ -269,8 +276,7 @@ def _kernel_sweep(scheduler: str) -> Tuple[Dict[str, float], float]:
     wall = 0.0
     for ppn in (1, 2, 4, 8):
         sc = Scenario.build(app="LU.C", nprocs=8 * ppn, n_compute=8,
-                            n_spare=1, iterations=40, seed=0,
-                            scheduler=scheduler)
+                            n_spare=1, iterations=40, seed=0)
         t0 = time.perf_counter()
         sc.run_migration("node3", at=5.0)
         wall += time.perf_counter() - t0
@@ -282,8 +288,8 @@ def _kernel_sweep(scheduler: str) -> Tuple[Dict[str, float], float]:
              "final_time": round(final_time, 6)}, wall)
 
 
-def _kernel_churn(scheduler: str) -> Tuple[Dict[str, float], float]:
-    """Synthetic scheduler-churn workload: timer races + store ping-pong.
+def _kernel_churn() -> Tuple[Dict[str, float], float]:
+    """Synthetic kernel-churn workload: timer races + store ping-pong.
 
     Every ``fast | slow`` race leaves a losing timeout that the kernel
     must drop as a cancelled straggler, so this workload pins the lazy
@@ -293,7 +299,7 @@ def _kernel_churn(scheduler: str) -> Tuple[Dict[str, float], float]:
     from repro.simulate.core import Simulator
     from repro.simulate.resources import Store
 
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     n_workers, n_rounds = 64, 40
 
     def racer(i: int):
@@ -330,30 +336,27 @@ def _kernel_churn(scheduler: str) -> Tuple[Dict[str, float], float]:
 
 
 def bench_events_per_sec(restart_mode: str = "file") -> Dict[str, Any]:
-    """Kernel throughput family: Fig. 6 sweep + synthetic churn, per scheduler.
+    """Kernel throughput family: Fig. 6 sweep + synthetic churn.
 
     The deterministic counters (events processed / cancelled, final sim
-    time) go under ``results`` and are pinned in the baselines — for both
-    schedulers, so the baseline diff doubles as a cross-scheduler identity
-    gate.  Wall-clock throughput goes under ``throughput`` (outside the
-    diffed section: wall time is hardware-dependent, not a regression).
+    time) go under ``results`` and are pinned in the baselines, keyed
+    ``<workload>.heap.<counter>``.  Wall-clock throughput goes under
+    ``throughput`` (outside the diffed section: wall time is
+    hardware-dependent, not a regression).
     """
     del restart_mode
     results: Dict[str, Any] = {}
     throughput: Dict[str, Any] = {}
     for workload, runner in (("fig6_sweep", _kernel_sweep),
                              ("churn", _kernel_churn)):
-        results[workload] = {}
-        throughput[workload] = {}
-        for scheduler in ("heap", "calendar"):
-            counts, wall = runner(scheduler)
-            results[workload][scheduler] = counts
-            throughput[workload][scheduler] = {
-                "wall_seconds": round(wall, 4),
-                "events_per_sec": round(counts["events_processed"]
-                                        / max(wall, 1e-9)),
-            }
-    return {"title": "Kernel throughput — events/sec by scheduler",
+        counts, wall = runner()
+        results[workload] = {"heap": counts}
+        throughput[workload] = {"heap": {
+            "wall_seconds": round(wall, 4),
+            "events_per_sec": round(counts["events_processed"]
+                                    / max(wall, 1e-9)),
+        }}
+    return {"title": "Kernel throughput — events/sec",
             "results": results, "throughput": throughput}
 
 
@@ -370,14 +373,14 @@ def _cluster_run(n_nodes: int, n_jobs: int, shards: int
 
 
 def bench_cluster_scale(restart_mode: str = "file") -> Dict[str, Any]:
-    """Cluster-scale family: 1000 nodes / 50 jobs on the sharded kernel.
+    """Cluster-scale family: 1000 nodes / 50 jobs.
 
-    Runs the failure-driven migration scenario twice — 8 shards (the
-    windowed kernel, with cross-shard spare borrowing and FTB bridging)
-    and 1 shard (the same model on one loop) — and pins every scenario
-    counter for both.  The two runs share RNG streams, so failure counts
-    agree; makespans differ only by the mailbox lookahead.  Wall time
-    goes under ``throughput`` (informational, never diffed).
+    Runs the failure-driven migration scenario twice — 8 spare-domain
+    partitions (cross-partition spare borrowing by mail) and 1 (no
+    borrowing) — and pins every scenario counter for both.  The two runs
+    share RNG streams, so failure counts agree; makespans differ by the
+    borrowing.  Wall time goes under ``throughput`` (informational,
+    never diffed).
     """
     del restart_mode
     results: Dict[str, Any] = {}
@@ -391,19 +394,19 @@ def bench_cluster_scale(restart_mode: str = "file") -> Dict[str, Any]:
             "events_per_sec": round(counters["events_processed"]
                                     / max(wall, 1e-9)),
         }
-    return {"title": "Cluster scale — 1000 nodes / 50 jobs, sharded kernel",
+    return {"title": "Cluster scale — 1000 nodes / 50 jobs",
             "results": results, "throughput": throughput}
 
 
 def bench_cluster_smoke(restart_mode: str = "file") -> Dict[str, Any]:
-    """CI-sized cluster scenario: 256 nodes / 16 jobs on 4 shards.
+    """CI-sized cluster scenario: 256 nodes / 16 jobs in 4 partitions.
 
     The ``cluster-scale-smoke`` CI job runs exactly this family; it pins
     the same counters as ``cluster_scale`` at a fraction of the work.
     """
     del restart_mode
     counters, wall = _cluster_run(n_nodes=256, n_jobs=16, shards=4)
-    return {"title": "Cluster smoke — 256 nodes / 16 jobs, 4 shards",
+    return {"title": "Cluster smoke — 256 nodes / 16 jobs, 4 partitions",
             "results": {"shards4": counters},
             "throughput": {"shards4": {
                 "wall_seconds": round(wall, 4),

@@ -159,9 +159,9 @@ class HealthMonitor:
         self.on_alarm = on_alarm
         #: Optional polling horizon.  An unbounded monitor keeps one
         #: timeout in the calendar forever, which deadlock-proofs nothing
-        #: and prevents drain-based runs (``sim.run()`` to completion —
-        #: how the sharded cluster-scale scenarios finish) from ever
-        #: terminating; give those a horizon and the monitor retires.
+        #: and prevents drain-based runs (``sim.run()`` to completion)
+        #: from ever terminating; give those a horizon and the monitor
+        #: retires.
         self.until = until
         self.events: List[HealthEvent] = []
         self._history: Dict[str, List[tuple]] = {n.name: [] for n in nodes}

@@ -1,4 +1,4 @@
-"""Cluster-scale failure-driven migration study on the sharded kernel.
+"""Cluster-scale failure-driven migration study.
 
 The paper's testbed is 8+1 nodes running one job; its *argument* is about
 clusters — proactive migration beats reactive checkpoint/restart when
@@ -7,14 +7,13 @@ failure/migration dynamics to that regime: hundreds of nodes in racks,
 dozens of concurrent jobs, rack-local checkpoint traffic, spare pools
 that actually run dry, and cross-rack spare borrowing when they do.
 
-It is also the reason the sharded kernel exists.  Racks are the
-partitions: each rack's checkpoint flows ride its own store link on its
-shard's own :class:`~repro.network.fluid.FluidNetwork`, each shard runs
-its own FTB backplane over the rack-head nodes, and the *only*
-cross-shard interactions — spare borrowing and FTB fan-out — travel
-through the kernel's timestamped mailboxes
-(:meth:`~repro.simulate.shard.EventShard.post`), never by touching
-another shard's state directly (the SIM103 lint enforces that).
+Racks are dealt round-robin to ``shards`` *partitions* — spare domains,
+not event loops.  Everything runs on one :class:`~repro.simulate.core.
+Simulator` with one :class:`~repro.network.fluid.FluidNetwork` and one
+FTB backplane over every rack head.  Whatever one partition asks of
+another (borrowing a spare, restarting on it) is a message: it reaches
+the destination partition's handler ``inter_rack_latency`` seconds after
+it was sent, as a timed event that leaves a ``cluster.mail`` record.
 
 Model summary
 -------------
@@ -28,10 +27,11 @@ Model summary
   process interrupts the job mid-span; with probability ``coverage`` the
   failure was *predicted* (the paper's proactive path).
 * **Predicted** failures migrate to a spare: rack pool first, then any
-  pool on the same shard, then a token-tracked request that hops shard to
-  shard through the mailbox until a pool grants or everyone denies.  A
+  pool in the same partition, then a token-tracked request that hops
+  partition to partition until a pool grants or everyone denies.  A
   remote grant restarts the migrated processes on hardware owned by
-  another shard — the ``cluster.spare.restart`` record lands over there.
+  another partition — the ``cluster.spare.restart`` record is emitted
+  when the message reaches it.
 * **Unpredicted** failures roll back to the last checkpoint (losing
   ``since_checkpoint`` work) and restart on a spare, or wait out the
   victim's repair when none exists anywhere.
@@ -39,9 +39,9 @@ Model summary
   not come back — scarcity compounds, which is the point.
 
 Everything is deterministic: named RNG streams per job, static
-placement, and the conservative window loop make ``results()``
-byte-stable run to run — the shards=4 determinism matrix and the
-``cluster_scale`` bench family both pin it.
+placement, and one event loop make ``results()`` byte-stable run to run
+— the determinism tests and the ``cluster_scale`` bench family both pin
+it.
 """
 
 from __future__ import annotations
@@ -50,21 +50,14 @@ from itertools import count
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..ftb.agent import FTBBackplane
-from ..ftb.bridge import FTBShardBridge
 from ..ftb.client import FTBClient
 from ..ftb.events import FTB_HEALTH_ALARM
 from ..network.ethernet import EthernetFabric
 from ..network.fluid import FluidNetwork, Link
 from ..sched.jobs import BatchJobSpec, JobRecord, JobState
 from ..sched.scheduler import failure_gap
-from ..simulate.core import Interrupt
+from ..simulate.core import Interrupt, Simulator
 from ..simulate.rng import RandomStreams
-from ..simulate.shard import (
-    PartitionMap,
-    ShardMessage,
-    ShardedSimulator,
-    derive_lookahead,
-)
 from .node import NodeState
 
 __all__ = ["ClusterScale", "Rack", "ScaleNode", "default_job_specs"]
@@ -100,17 +93,15 @@ class ScaleNode:
 class Rack:
     """One rack: compute nodes, a spare pool, and a checkpoint store link.
 
-    The rack is the sharding partition.  All its fluid links live on its
-    shard's network; checkpoint flows cross ``[node uplink, rack store]``
-    so jobs checkpointing together contend for the store head.
+    ``partition`` is the spare domain the rack was dealt to.  Checkpoint
+    flows cross ``[node uplink, rack store]``, so jobs checkpointing
+    together contend for the store head.
     """
 
-    def __init__(self, name: str, shard_id: int, net: FluidNetwork,
-                 n_nodes: int, n_spares: int, uplink_bw: float,
-                 store_bw: float):
+    def __init__(self, name: str, partition: int, n_nodes: int,
+                 n_spares: int, uplink_bw: float, store_bw: float):
         self.name = name
-        self.shard_id = shard_id
-        self.net = net
+        self.partition = partition
         self.uplink_bw = uplink_bw
         self.nodes: List[ScaleNode] = [
             ScaleNode(f"{name}.n{i:02d}", self) for i in range(n_nodes)]
@@ -140,19 +131,18 @@ class Rack:
         return taken
 
     def __repr__(self) -> str:
-        return (f"<Rack {self.name} shard={self.shard_id} "
+        return (f"<Rack {self.name} partition={self.partition} "
                 f"nodes={len(self.nodes)} spares={len(self.spares)}>")
 
 
 class _ScaleJob:
     """Runtime state of one placed job."""
 
-    __slots__ = ("record", "rack", "shard", "nodes", "proc", "driver", "busy")
+    __slots__ = ("record", "rack", "nodes", "proc", "driver", "busy")
 
-    def __init__(self, record: JobRecord, rack: Rack, shard):
+    def __init__(self, record: JobRecord, rack: Rack):
         self.record = record
         self.rack = rack
-        self.shard = shard
         self.nodes: List[ScaleNode] = []
         self.proc = None
         self.driver = None
@@ -181,7 +171,7 @@ def default_job_specs(n_jobs: int) -> List[BatchJobSpec]:
 
 
 class ClusterScale:
-    """Build and run one cluster-scale scenario on the sharded kernel.
+    """Build and run one cluster-scale scenario.
 
     Parameters
     ----------
@@ -189,18 +179,18 @@ class ClusterScale:
         Cluster size (compute nodes, racked 32 at a time by default) and
         workload size (see :func:`default_job_specs`).
     shards:
-        Kernel partitions.  Racks map to shards round-robin; ``shards``
-        must not exceed the rack count.  ``shards=1`` runs the identical
-        model on one loop (the determinism matrix compares both).
+        Spare-domain partitions.  Racks are dealt to them round-robin;
+        ``shards`` must not exceed the rack count.  ``shards=1`` is one
+        domain: no request ever leaves it.
     node_mtbf:
         Per-node MTBF in seconds.  The default (2 h) is deliberately
         compressed relative to production hardware so a sub-hour run
-        exercises spare exhaustion and cross-shard borrowing.
+        exercises spare exhaustion and cross-partition borrowing.
     coverage:
         Probability a failure is predicted (the paper's proactive path).
     inter_rack_latency:
-        Latency of every rack-to-rack link; the minimum over links that
-        cross shards is the kernel's lookahead (:func:`derive_lookahead`).
+        Delivery delay of every cross-partition message; must be > 0
+        when ``shards > 1``.
     """
 
     def __init__(self, n_nodes: int = 1000, n_jobs: int = 50,
@@ -214,67 +204,49 @@ class ClusterScale:
                  uplink_bw: float = 1e9, store_bw: float = 2e9,
                  remote_migration_penalty: float = 4.0,
                  job_specs: Optional[List[BatchJobSpec]] = None,
-                 trace: Any = None, metrics: Any = None,
-                 scheduler: Optional[str] = None):
+                 trace: Any = None, metrics: Any = None):
         if n_nodes < nodes_per_rack:
             raise ValueError("need at least one full rack of nodes")
         n_racks = n_nodes // nodes_per_rack
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         if shards > n_racks:
             raise ValueError(
                 f"shards={shards} exceeds the rack count {n_racks}; racks "
-                f"are the partition unit, so at most one shard per rack")
+                f"are the partition unit, so at most one partition per rack")
+        if shards > 1 and inter_rack_latency <= 0:
+            raise ValueError(
+                f"inter_rack_latency must be > 0 when shards > 1, got "
+                f"{inter_rack_latency}")
+        self.shards = shards
         self.seed = seed
         self.node_mtbf = node_mtbf
         self.coverage = coverage
         self.failure_shape = failure_shape
         self.repair_time = repair_time
+        self.inter_rack_latency = inter_rack_latency
         self.ckpt_bytes_per_node = ckpt_bytes_per_node
         self.remote_migration_penalty = remote_migration_penalty
         self.streams = RandomStreams(seed)
+        self.sim = Simulator(trace=trace, metrics=metrics)
+        self.net = FluidNetwork(self.sim)
 
-        rack_names = [f"rack{r:02d}" for r in range(n_racks)]
-        self.partition_map = PartitionMap.round_robin(rack_names, shards)
-        if shards > 1:
-            lookahead = derive_lookahead(
-                inter_rack_latency
-                for i, a in enumerate(rack_names)
-                for b in rack_names[i + 1:]
-                if self.partition_map.shard_of(a)
-                != self.partition_map.shard_of(b))
-        else:
-            lookahead = None
-        self.kernel = ShardedSimulator(shards=shards, lookahead=lookahead,
-                                       trace=trace, metrics=metrics,
-                                       scheduler=scheduler)
-
-        # -- per-shard substrate: fluid net, eth fabric, racks, FTB tree --
-        self.nets: List[FluidNetwork] = [
-            FluidNetwork(self.kernel.shard(s)) for s in range(shards)]
+        # -- racks, dealt to partitions, and one FTB tree over their heads --
         self.racks: List[Rack] = []
-        self.racks_on_shard: List[List[Rack]] = [[] for _ in range(shards)]
-        for name in rack_names:
-            sid = self.partition_map.shard_of(name)
-            rack = Rack(name, sid, self.nets[sid], nodes_per_rack,
+        self.racks_in: List[List[Rack]] = [[] for _ in range(shards)]
+        for r in range(n_racks):
+            rack = Rack(f"rack{r:02d}", r % shards, nodes_per_rack,
                         spares_per_rack, uplink_bw, store_bw)
             self.racks.append(rack)
-            self.racks_on_shard[sid].append(rack)
-        self.backplanes: Dict[int, FTBBackplane] = {}
-        for sid in range(shards):
-            shard = self.kernel.shard(sid)
-            fabric = EthernetFabric(shard, net=self.nets[sid])
-            heads = [r.head for r in self.racks_on_shard[sid]]
-            bp = FTBBackplane(shard, fabric, heads, root_node=heads[0])
-            self.backplanes[sid] = bp
-            for rack in self.racks_on_shard[sid]:
-                rack.ftb = FTBClient(bp, rack.head, f"nla.{rack.name}")
-            shard.subscribe(self._mail_handler(sid))
-        self.bridge: Optional[FTBShardBridge] = (
-            FTBShardBridge(self.kernel, self.backplanes)
-            if shards > 1 else None)
-        # The Job Manager listens on shard 0; with the bridge in place it
-        # hears alarms raised in every shard's tree.
-        self._jm = FTBClient(self.backplanes[0],
-                             self.racks_on_shard[0][0].head, "jm")
+            self.racks_in[rack.partition].append(rack)
+        fabric = EthernetFabric(self.sim, net=self.net)
+        heads = [r.head for r in self.racks]
+        self.backplane = FTBBackplane(self.sim, fabric, heads,
+                                      root_node=heads[0])
+        for rack in self.racks:
+            rack.ftb = FTBClient(self.backplane, rack.head,
+                                 f"nla.{rack.name}")
+        self._jm = FTBClient(self.backplane, heads[0], "jm")
         self.ftb_alarms_at_jm = 0
 
         def _count_alarm(_event) -> None:
@@ -297,6 +269,7 @@ class ClusterScale:
         self.spare_denials = 0
         self.remote_restarts = 0
         self.jobs_completed = 0
+        self.mail_delivered = 0
 
         # -- place and start the workload -----------------------------------
         self.jobs: List[_ScaleJob] = []
@@ -310,8 +283,7 @@ class ClusterScale:
             for rack in self.racks:  # first fit, deterministic order
                 nodes = rack.allocate(spec.n_nodes)
                 if nodes is not None:
-                    job = _ScaleJob(JobRecord(spec=spec), rack,
-                                    self.kernel.shard(rack.shard_id))
+                    job = _ScaleJob(JobRecord(spec=spec), rack)
                     job.nodes = nodes
                     self.jobs.append(job)
                     placed = True
@@ -321,52 +293,62 @@ class ClusterScale:
                     f"{spec.name}: no rack has {spec.n_nodes} free nodes — "
                     f"shrink the workload or grow the cluster")
         for job in self.jobs:
-            job.proc = job.shard.spawn(self._job_body(job),
-                                       name=f"job.{job.record.spec.name}")
+            job.proc = self.sim.spawn(self._job_body(job),
+                                      name=f"job.{job.record.spec.name}")
         self._ran = False
 
-    # -- cross-shard mail ---------------------------------------------------
-    def _mail_handler(self, sid: int):
-        """Handler for this scenario's mailbox topics on shard ``sid``.
+    # -- cross-partition mail -------------------------------------------------
+    def _post(self, src: int, dst: int, topic: str, data: Any) -> None:
+        """Send ``data`` from partition ``src`` to partition ``dst``; its
+        handler runs ``inter_rack_latency`` seconds from now."""
+        sent = self.sim.now
+        arrival = self.sim.timeout(self.inter_rack_latency)
+        arrival.callbacks.append(
+            lambda _ev: self._deliver(src, dst, sent, topic, data))
 
-        ``spare.request`` hops shard to shard until a pool grants or the
-        ring closes; ``spare.grant`` resolves the origin's wait event;
-        ``spare.restart`` emits the restart record in the shard that owns
-        the granted hardware.
+    def _deliver(self, src: int, dst: int, sent: float, topic: str,
+                 data: Any) -> None:
+        """Partition ``dst`` handles one message.
+
+        ``spare.request`` hops partition to partition until a pool grants
+        or the ring closes; ``spare.grant`` resolves the origin's wait
+        event; ``spare.restart`` emits the restart record in the
+        partition that owns the granted hardware.
         """
-        def handle(msg: ShardMessage) -> None:
-            shard = self.kernel.shard(sid)
-            if msg.topic == "spare.request":
-                job_name, origin, token = msg.data
-                for rack in self.racks_on_shard[sid]:
-                    if rack.spares:
-                        spare = rack.spares.pop(0)
-                        shard.post(origin, "spare.grant",
-                                   (token, spare.name, sid))
-                        return
-                nxt = (sid + 1) % self.kernel.n_shards
-                if nxt == origin:  # ring closed: nobody had one
-                    shard.post(origin, "spare.grant", (token, None, sid))
-                else:
-                    shard.post(nxt, "spare.request", msg.data)
-            elif msg.topic == "spare.grant":
-                token, spare_name, src = msg.data
-                ev = self._pending.pop(token)
-                ev.succeed(None if spare_name is None
-                           else (spare_name, src))
-            elif msg.topic == "spare.restart":
-                job_name, node_name, src, dst = msg.data
-                self.remote_restarts += 1
-                trace = shard.trace
-                if trace is not None:
-                    trace.record(shard.now, "cluster.spare.restart",
-                                 job=job_name, node=node_name, src=src,
-                                 dst=dst)
-        return handle
+        sim = self.sim
+        self.mail_delivered += 1
+        trace = sim.trace
+        if trace is not None:
+            trace.record(sim.now, "cluster.mail", src=src, dst=dst,
+                         sent=sent, topic=topic)
+        if topic == "spare.request":
+            origin, token = data
+            for rack in self.racks_in[dst]:
+                if rack.spares:
+                    spare = rack.spares.pop(0)
+                    self._post(dst, origin, "spare.grant",
+                               (token, spare.name))
+                    return
+            nxt = (dst + 1) % self.shards
+            if nxt == origin:  # ring closed: nobody had one
+                self._post(dst, origin, "spare.grant", (token, None))
+            else:
+                self._post(dst, nxt, "spare.request", data)
+        elif topic == "spare.grant":
+            token, spare_name = data
+            self._pending.pop(token).succeed(
+                None if spare_name is None else (spare_name, src))
+        elif topic == "spare.restart":
+            job_name, node_name = data
+            self.remote_restarts += 1
+            if trace is not None:
+                trace.record(sim.now, "cluster.spare.restart",
+                             job=job_name, node=node_name, src=src,
+                             dst=dst)
 
     # -- job lifecycle ------------------------------------------------------
     def _job_body(self, job: _ScaleJob) -> Generator:
-        sim = job.shard
+        sim = self.sim
         rec = job.record
         spec = rec.spec
         trace = sim.trace
@@ -411,7 +393,7 @@ class ClusterScale:
 
     def _failure_driver(self, job: _ScaleJob) -> Generator:
         """Interrupt the job at drawn failure times until it completes."""
-        sim = job.shard
+        sim = self.sim
         rng = self.streams.stream(f"fail.{job.record.spec.name}")
         while True:
             gap = failure_gap(rng, self.node_mtbf, len(job.nodes),
@@ -434,10 +416,11 @@ class ClusterScale:
     def _handle_failure(self, job: _ScaleJob,
                         cause: Tuple[bool, ScaleNode]) -> Generator:
         predicted, victim = cause
-        sim = job.shard
+        sim = self.sim
         rec = job.record
         spec = rec.spec
         trace = sim.trace
+        home = job.rack.partition
         job.busy = True
         victim.mark(NodeState.FAILED)
         self.failures += 1
@@ -454,11 +437,11 @@ class ClusterScale:
         sim.spawn(self._repair(job.rack, victim),
                   name=f"repair.{victim.name}")
         if predicted:
-            spare, src_shard = yield from self._acquire_spare(job)
+            spare, owner = yield from self._acquire_spare(job)
             if spare is not None:
                 # Proactive path: live migration to the spare, no lost work.
                 rec.n_migrations += 1
-                mode = "local" if src_shard == sim.shard_id else "remote"
+                mode = "local" if owner == home else "remote"
                 if mode == "local":
                     self.migrations_local += 1
                     cost = spec.migration_cost
@@ -472,9 +455,8 @@ class ClusterScale:
                 yield sim.timeout(cost)
                 job.nodes.append(spare)
                 if mode == "remote":
-                    sim.post(src_shard, "spare.restart",
-                             (spec.name, spare.name, sim.shard_id,
-                              src_shard))
+                    self._post(home, owner, "spare.restart",
+                               (spec.name, spare.name))
                 job.busy = False
                 return
             # Predicted but no spare anywhere: checkpoint proactively
@@ -491,14 +473,13 @@ class ClusterScale:
         self.rollbacks += 1
         rec.useful_done -= rec.since_checkpoint
         rec.since_checkpoint = 0.0
-        spare, src_shard = yield from self._acquire_spare(job)
+        spare, owner = yield from self._acquire_spare(job)
         if spare is not None:
-            mode = "local" if src_shard == sim.shard_id else "remote"
             job.nodes.append(spare)
-            if mode == "remote":
+            if owner != home:
                 self.migrations_remote += 1
-                sim.post(src_shard, "spare.restart",
-                         (spec.name, spare.name, sim.shard_id, src_shard))
+                self._post(home, owner, "spare.restart",
+                           (spec.name, spare.name))
             else:
                 self.migrations_local += 1
         else:
@@ -509,40 +490,39 @@ class ClusterScale:
         job.busy = False
 
     def _acquire_spare(self, job: _ScaleJob) -> Generator:
-        """Find a spare: own rack, own shard, then ring the other shards.
+        """Find a spare: own rack, own partition, then ring the others.
 
-        Returns ``(node, owning_shard)`` or ``(None, own_shard)``.  A
-        remotely granted spare is modelled as relocated hardware — a fresh
-        :class:`ScaleNode` joins the job's rack; the restart record stays
-        with the granting shard (see ``spare.restart`` in the handler).
+        Returns ``(node, owning_partition)`` or ``(None, own_partition)``.
+        A remotely granted spare is modelled as relocated hardware — a
+        fresh :class:`ScaleNode` joins the job's rack; the restart record
+        is left to the granting partition (``spare.restart`` mail).
         """
-        sim = job.shard
+        sim = self.sim
         trace = sim.trace
+        home = job.rack.partition
         if job.rack.spares:
-            return job.rack.spares.pop(0), sim.shard_id
-        for rack in self.racks_on_shard[sim.shard_id]:
+            return job.rack.spares.pop(0), home
+        for rack in self.racks_in[home]:
             if rack.spares:
-                return rack.spares.pop(0), sim.shard_id
-        if self.kernel.n_shards == 1:
-            return None, sim.shard_id
+                return rack.spares.pop(0), home
+        if self.shards == 1:
+            return None, home
         token = next(self._tokens)
         ev = sim.event(name=f"spare.{token}")
         self._pending[token] = ev
-        dst = (sim.shard_id + 1) % self.kernel.n_shards
+        dst = (home + 1) % self.shards
         self.spare_requests += 1
         if trace is not None:
             trace.record(sim.now, "cluster.spare.request",
-                         job=job.record.spec.name, src=sim.shard_id,
-                         dst=dst)
-        sim.post(dst, "spare.request",
-                 (job.record.spec.name, sim.shard_id, token))
+                         job=job.record.spec.name, src=home, dst=dst)
+        self._post(home, dst, "spare.request", (home, token))
         granted = yield ev
         if granted is None:
             self.spare_denials += 1
-            return None, sim.shard_id
-        spare_name, src_shard = granted
+            return None, home
+        spare_name, owner = granted
         self.remote_grants += 1
-        return ScaleNode(spare_name, job.rack), src_shard
+        return ScaleNode(spare_name, job.rack), owner
 
     def _checkpoint(self, job: _ScaleJob) -> Generator:
         """Per-node image writes into the rack store, then the barrier.
@@ -551,11 +531,11 @@ class ClusterScale:
         and from inside failure handling, where busy must stay raised
         until the whole recovery finishes.
         """
-        sim = job.shard
+        sim = self.sim
         rec = job.record
         spec = rec.spec
         trace = sim.trace
-        flows = [job.rack.net.transfer(
+        flows = [self.net.transfer(
                      [job.rack.uplink(node.name), job.rack.store],
                      self.ckpt_bytes_per_node, label=f"ckpt:{spec.name}")
                  for node in job.nodes]
@@ -570,8 +550,7 @@ class ClusterScale:
 
     def _repair(self, rack: Rack, node: ScaleNode) -> Generator:
         """A failed node is repaired and rejoins its rack's spare pool."""
-        sim = self.kernel.shard(rack.shard_id)
-        yield sim.timeout(self.repair_time)
+        yield self.sim.timeout(self.repair_time)
         node.mark(NodeState.HEALTHY)
         if node not in rack.spares:
             rack.spares.append(node)
@@ -581,7 +560,7 @@ class ClusterScale:
         """Drain the whole workload and return the results dict."""
         if self._ran:
             raise RuntimeError("this scenario has already run")
-        self.kernel.run()
+        self.sim.run()
         self._ran = True
         return self.results()
 
@@ -590,7 +569,7 @@ class ClusterScale:
         done = [j.record for j in self.jobs
                 if j.record.state is JobState.COMPLETED]
         makespan = max((r.completed_at for r in done), default=0.0)
-        out = {
+        return {
             "jobs_completed": self.jobs_completed,
             "failures": self.failures,
             "migrations_local": self.migrations_local,
@@ -602,12 +581,7 @@ class ClusterScale:
             "spare_denials": self.spare_denials,
             "remote_restarts": self.remote_restarts,
             "ftb_alarms_at_jm": self.ftb_alarms_at_jm,
-            "windows": self.kernel.windows,
-            "mail_delivered": self.kernel.mail_delivered,
-            "events_processed": self.kernel.events_processed,
+            "mail_delivered": self.mail_delivered,
+            "events_processed": self.sim.events_processed,
             "makespan": round(makespan, 6),
         }
-        if self.bridge is not None:
-            out["ftb_relayed"] = self.bridge.relayed_out
-            out["ftb_crossings"] = self.bridge.total_crossings()
-        return out

@@ -11,12 +11,16 @@ Everything the examples, integration tests and benchmarks need repeatedly:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from .params import DEFAULT_TESTBED, MigrationParams, Testbed
 from .simulate.core import Simulator
-from .simulate.shard import ShardedSimulator
+from .blcr import image as blcr_image
+from .cluster import osproc
 from .cluster.node import Cluster
+from .core import buffer_manager
+from .ftb import events as ftb_events
 from .ftb.agent import FTBBackplane
 from .launch.job_manager import JobManager
 from .mpi.job import MPIJob
@@ -25,8 +29,28 @@ from .core.framework import JobMigrationFramework
 from .core.checkpoint_restart import CheckpointRestartStrategy
 from .core.protocol import MigrationReport
 from .core.trigger import MigrationTrigger
+from .mpi import transport
+from .network.qp import QueuePair
 
-__all__ = ["Scenario"]
+__all__ = ["Scenario", "reset_global_counters"]
+
+
+def reset_global_counters() -> None:
+    """Rewind the process-global allocation counters.
+
+    QP numbers, image ids, PIDs, work-request ids, FTB event ids and
+    chunk sequence numbers come from module-level counters, so a second
+    scenario built in the same interpreter labels its objects
+    differently from the first.  The ids are allocation bookkeeping, not
+    simulation state, but they appear in trace fields: call this before
+    a run whose trace must match one made in a fresh process.
+    """
+    QueuePair._ids = count()
+    ftb_events._seq = count()
+    blcr_image._image_ids = count(start=1)
+    transport._wr_ids = count()
+    osproc._pids = count(start=1000)
+    buffer_manager._chunk_seq = count()
 
 
 @dataclass
@@ -41,9 +65,6 @@ class Scenario:
     job: MPIJob
     framework: JobMigrationFramework
     trigger: MigrationTrigger
-    #: The owning sharded kernel; ``sim`` is its shard 0.  Always a
-    #: one-shard kernel for the paper testbed (see :meth:`build`).
-    kernel: Optional[ShardedSimulator] = None
 
     @classmethod
     def build(cls, app: str = "LU.C", nprocs: int = 64, n_compute: int = 8,
@@ -54,37 +75,15 @@ class Scenario:
               iterations: Optional[int] = None,
               testbed: Testbed = DEFAULT_TESTBED,
               start_app: bool = True, trace=None,
-              metrics=None, scheduler: Optional[str] = None,
-              shards: int = 1) -> "Scenario":
+              metrics=None) -> "Scenario":
         """Assemble the paper's testbed (8 compute + 1 spare by default).
 
         Pass a :class:`repro.simulate.Tracer` as ``trace`` to record phase
         boundaries and protocol events for timeline analysis, and a
         :class:`repro.simulate.MetricsRegistry` as ``metrics`` to collect
         counters/gauges/histograms from every instrumented layer.
-        ``scheduler`` selects the kernel's event queue (``"heap"`` or
-        ``"calendar"``); results are identical either way — the
-        determinism suite and the events_per_sec bench both assert it.
-
-        ``shards`` must be 1 here: the paper testbed is one tightly
-        coupled partition (every rank shares the fluid fabric, the FTB
-        tree, and the migration barrier, so there is no cross-partition
-        link to derive a lookahead from).  The scenario still runs *on*
-        the sharded kernel — its simulator is shard 0 of a one-shard
-        :class:`repro.simulate.ShardedSimulator`, byte-identical to the
-        plain loop — so the surface matches the cluster-scale scenario
-        (:class:`repro.cluster.scale.ClusterScale`), which is where
-        ``shards > 1`` belongs.
         """
-        if shards != 1:
-            raise ValueError(
-                f"shards={shards}: the paper testbed is a single tightly "
-                f"coupled partition and cannot be sharded — use "
-                f"repro.cluster.scale.ClusterScale (the cluster_scale "
-                f"bench family) for multi-shard runs")
-        kernel = ShardedSimulator(shards=1, metrics=metrics,
-                                  scheduler=scheduler)
-        sim = kernel.shard(0)
+        sim = Simulator(metrics=metrics)
         cluster = Cluster(sim, n_compute=n_compute, n_spare=n_spare,
                           testbed=testbed, with_pvfs=with_pvfs,
                           record_data=record_data, seed=seed, trace=trace)
@@ -101,7 +100,7 @@ class Scenario:
         if start_app:
             job.start(application.rank_main)
         return cls(sim, cluster, backplane, jm, application, job,
-                   framework, trigger, kernel)
+                   framework, trigger)
 
     # -- convenience drivers --------------------------------------------------
     def run_migration(self, source: str, target: Optional[str] = None,

@@ -27,8 +27,8 @@ Example
 
 from __future__ import annotations
 
-import heapq
 import weakref
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -43,20 +43,7 @@ __all__ = [
     "PENDING",
     "URGENT",
     "NORMAL",
-    "DEFAULT_SCHEDULER",
-    "SCHEDULERS",
 ]
-
-#: Scheduler used when ``Simulator(scheduler=None)``.  ``"heap"`` is the
-#: classic binary-heap calendar; ``"calendar"`` is the bucketed calendar
-#: queue from :mod:`repro.simulate.calendar`.  Both produce identical event
-#: order (the determinism suite asserts byte-identical traces); the heap is
-#: the default because CPython's C-implemented ``heapq`` wins at the queue
-#: sizes our scenarios reach — see docs/performance.md for measurements and
-#: when the calendar queue pays off.
-DEFAULT_SCHEDULER = "heap"
-
-SCHEDULERS = ("heap", "calendar")
 
 # Event priorities: URGENT events at the same timestamp fire before NORMAL
 # ones.  Interrupts are URGENT so that an interrupted process observes the
@@ -171,7 +158,7 @@ class Event:
         self._ok = True
         self._value = value
         sim = self.sim
-        sim._queue.push((sim._now, NORMAL, next(sim._seq), self))
+        heappush(sim._heap, (sim._now, NORMAL, next(sim._seq), self))
         return self
 
     def succeed_later(self, value: Any = None, delay: float = 0.0) -> "Event":
@@ -402,33 +389,6 @@ class Process(Event):
             self._wait_attached = (result, cb)
 
 
-class _HeapQueue:
-    """The classic binary-heap calendar behind the pluggable queue surface.
-
-    Thin adapter over :mod:`heapq`; entries are ``(time, priority, seq,
-    event)`` tuples, identical to :class:`repro.simulate.calendar.
-    CalendarQueue` so the two are drop-in interchangeable.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry: tuple) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def peek_entry(self) -> Optional[tuple]:
-        heap = self._heap
-        return heap[0] if heap else None
-
-    def pop(self) -> Optional[tuple]:
-        return heapq.heappop(self._heap) if self._heap else None
-
-
 class Simulator:
     """The event loop: a calendar of triggered events and the clock.
 
@@ -446,33 +406,13 @@ class Simulator:
         components create instruments through ``sim.metrics``.  When
         omitted, the shared inert registry keeps instrumented hot paths
         at no-op cost.
-    scheduler:
-        ``"heap"`` (binary heap) or ``"calendar"`` (bucketed calendar
-        queue); ``None`` uses :data:`DEFAULT_SCHEDULER`.  Event order is
-        identical either way.
     """
 
-    #: Which partition-local event loop this simulator is.  A plain
-    #: ``Simulator`` is always shard 0 — the whole single-loop world is one
-    #: partition — so every consumer of the shard-aware surface (telemetry
-    #: lanes, trace labels) works unchanged on unsharded runs.
-    #: :class:`repro.simulate.shard.EventShard` overrides it per partition.
-    shard_id: int = 0
-
     def __init__(self, start: float = 0.0, trace: Any = None,
-                 metrics: Any = None, scheduler: Optional[str] = None):
+                 metrics: Any = None):
         self._now = float(start)
-        name = scheduler if scheduler is not None else DEFAULT_SCHEDULER
-        if name == "heap":
-            self._queue: Any = _HeapQueue()
-        elif name == "calendar":
-            from .calendar import CalendarQueue
-
-            self._queue = CalendarQueue(start=self._now)
-        else:
-            raise ValueError(
-                f"unknown scheduler {name!r}; expected one of {SCHEDULERS}")
-        self.scheduler = name
+        #: The calendar: a :mod:`heapq` of ``(time, priority, seq, event)``.
+        self._heap: list = []
         #: Events whose callbacks ran / cancelled entries dropped unpopped.
         #: Plain counters, cheap enough to keep on the hot path; the
         #: events_per_sec bench family pins them as deterministic results.
@@ -632,7 +572,8 @@ class Simulator:
                 hook()
 
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        self._queue.push((self._now + delay, priority, next(self._seq), event))
+        heappush(self._heap, (self._now + delay, priority, next(self._seq),
+                              event))
 
     def _peek_live(self) -> Optional[tuple]:
         """Head entry of the calendar, dropping cancelled stragglers.
@@ -641,18 +582,17 @@ class Simulator:
         anything; it is marked processed so a late waiter that ``yield``\\ s
         it afterwards still resumes through the already-processed bridge.
         """
-        queue = self._queue
-        while True:
-            entry = queue.peek_entry()
-            if entry is None:
-                return None
+        heap = self._heap
+        while heap:
+            entry = heap[0]
             event = entry[3]
             if event._cancelled and not event.callbacks:
-                queue.pop()
+                heappop(heap)
                 event.callbacks = None
                 self.events_cancelled += 1
                 continue
             return entry
+        return None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the calendar is empty.
@@ -665,14 +605,8 @@ class Simulator:
         return entry[0] if entry is not None else float("inf")
 
     def queue_depth(self) -> int:
-        """Entries currently in the calendar (cancelled stragglers included).
-
-        The telemetry probe samples through this accessor rather than
-        reaching into ``_queue`` so a :class:`repro.simulate.shard.
-        ShardedSimulator` can answer with the *sum* across its shards
-        behind the same surface.
-        """
-        return len(self._queue)
+        """Entries currently in the calendar (cancelled stragglers included)."""
+        return len(self._heap)
 
     def step(self) -> None:
         """Process exactly one event."""
@@ -682,7 +616,7 @@ class Simulator:
             entry = self._peek_live()
         if entry is None:
             raise SimulationError("step() on an empty calendar")
-        self._queue.pop()
+        heappop(self._heap)
         when, _prio, _seq, event = entry
         if when < self._now:
             raise SimulationError(f"time went backwards: {when} < {self._now}")
@@ -726,13 +660,11 @@ class Simulator:
             if stop_at < self._now:
                 raise ValueError(f"until={stop_at} is in the past (now={self._now})")
 
-        # The loop below is step() open-coded with the queue methods bound
-        # to locals: one dispatch per event instead of three nested calls
-        # (peek, step, peek again).  Any semantic change here must be
+        # The loop below is step() open-coded over the heap: it reads
+        # ``heap[0]`` and calls ``heappop`` directly, so dispatch costs no
+        # Python-level method calls.  Any semantic change here must be
         # mirrored in step() — the kernel contract tests run both paths.
-        queue = self._queue
-        peek_entry = queue.peek_entry
-        queue_pop = queue.pop
+        heap = self._heap
         unhandled = self._unhandled
         # Telemetry: one float compare per event when no probe is attached
         # (probe_next stays +inf).  Sampling happens after the clock
@@ -745,15 +677,15 @@ class Simulator:
         before_advance = self._before_advance
         try:
             while True:
-                entry = peek_entry()
-                if entry is None:
+                if not heap:
                     if before_advance:
                         self._run_before_advance()
                         continue
                     break
+                entry = heap[0]
                 event = entry[3]
                 if event._cancelled and not event.callbacks:
-                    queue_pop()
+                    heappop(heap)
                     event.callbacks = None
                     self.events_cancelled += 1
                     continue
@@ -763,7 +695,7 @@ class Simulator:
                     continue
                 if when > stop_at:
                     break
-                queue_pop()
+                heappop(heap)
                 if when < self._now:
                     raise SimulationError(
                         f"time went backwards: {when} < {self._now}")

@@ -4,6 +4,7 @@ The harness lives in the top-level ``benchmarks`` package (importable
 from the repository root, exactly as CI and ``repro bench`` run it).
 """
 
+import gzip
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from benchmarks.harness import (  # noqa: E402
     default_baselines_path,
     flatten_results,
     run_benches,
+    _traced_migration,
 )
 
 
@@ -152,6 +154,24 @@ def test_update_baselines_pins_canonical_trace(tmp_path):
     assert pin is not None
     with open(pin, "rb") as fh:
         assert fh.read(2) == b"\x1f\x8b"
+
+
+def test_pinned_trace_replay_is_independent_of_earlier_runs():
+    """The bench harness replays its canonical migration in-process (to
+    pin the baseline trace and to explain regressions).  Each replay
+    must match the pinned trace no matter what ran before it."""
+    with gzip.open(baseline_trace_path("fig4"), "rt",
+                   encoding="utf-8") as fh:
+        pinned = fh.read().splitlines()
+    replays = []
+    for _ in range(2):
+        _, tracer = _traced_migration("LU.C", restart_mode="file")
+        replays.append([json.dumps(rec.as_dict(), default=str)
+                        for rec in tracer])
+    assert replays[0] == replays[1]
+    assert len(replays[0]) == len(pinned)
+    for i, (got, want) in enumerate(zip(replays[0], pinned)):
+        assert got == want, f"replay diverges from the pin at record {i}"
 
 
 def test_regression_renders_explain_artifact(tmp_path):

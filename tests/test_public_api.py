@@ -56,3 +56,21 @@ def test_public_classes_have_docstrings():
         obj = getattr(repro, name)
         if isinstance(obj, type):
             assert obj.__doc__, f"{name} lacks a class docstring"
+
+
+def test_one_event_loop():
+    """The kernel is one heap-driven ``Simulator``: nothing selects an
+    alternative event queue, and no partitioned loop is exported."""
+    import inspect
+
+    import repro.simulate as simulate
+    from repro import Scenario
+    from repro.cluster import ClusterScale
+
+    assert list(inspect.signature(simulate.Simulator).parameters) == [
+        "start", "trace", "metrics"]
+    build = inspect.signature(Scenario.build).parameters
+    assert "scheduler" not in build and "shards" not in build
+    assert "scheduler" not in inspect.signature(ClusterScale).parameters
+    assert not [n for n in simulate.__all__ if "Shard" in n]
+    assert not hasattr(simulate.Simulator, "shard_id")
