@@ -94,15 +94,7 @@ def _cr_cycle(app: str, dest: str, seed: int = 0):
     restart report, the scenario's fluid engine stats)``."""
     sc = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
                         iterations=40, seed=seed, with_pvfs=True)
-    strategy = sc.cr_strategy(dest)
-
-    def drive(sim):
-        yield sim.timeout(5.0)
-        ckpt = yield from strategy.checkpoint()
-        restart = yield from strategy.restart()
-        return ckpt, restart
-
-    ckpt, restart = sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
+    ckpt, restart = sc.run_cr_cycle(dest, at=5.0)
     return ckpt, restart, sc.cluster.net.stats
 
 

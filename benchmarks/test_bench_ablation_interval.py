@@ -32,16 +32,7 @@ def measured_costs():
 
     cr_sc = Scenario.build(app="LU.C", nprocs=64, iterations=40,
                            with_pvfs=True)
-    strategy = cr_sc.cr_strategy("pvfs")
-
-    def drive(sim):
-        yield sim.timeout(5.0)
-        ckpt = yield from strategy.checkpoint()
-        restart = yield from strategy.restart()
-        return ckpt, restart
-
-    proc = cr_sc.sim.spawn(drive(cr_sc.sim))
-    ckpt, restart = cr_sc.sim.run(until=proc)
+    ckpt, restart = cr_sc.run_cr_cycle("pvfs", at=5.0)
     return {
         "checkpoint": ckpt.total_seconds,
         "restart": restart.restart_seconds,

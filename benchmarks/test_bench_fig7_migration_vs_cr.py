@@ -35,16 +35,7 @@ def run_app(app: str):
     for dest in ("ext3", "pvfs"):
         sc = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
                             iterations=40, with_pvfs=True)
-        strategy = sc.cr_strategy(dest)
-
-        def drive(sim, strategy=strategy):
-            yield sim.timeout(5.0)
-            ckpt = yield from strategy.checkpoint()
-            restart = yield from strategy.restart()
-            return ckpt, restart
-
-        proc = sc.sim.spawn(drive(sc.sim))
-        cycles[dest] = sc.sim.run(until=proc)
+        cycles[dest] = sc.run_cr_cycle(dest, at=5.0)
     return migration, cycles
 
 

@@ -35,16 +35,7 @@ def run_migration(app: str):
 def run_cr(app: str, destination: str):
     sc = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
                         iterations=40, with_pvfs=True)
-    strategy = sc.cr_strategy(destination)
-
-    def drive(sim):
-        yield sim.timeout(5.0)
-        ckpt = yield from strategy.checkpoint()
-        restart = yield from strategy.restart()
-        return ckpt, restart
-
-    proc = sc.sim.spawn(drive(sc.sim))
-    return sc.sim.run(until=proc)
+    return sc.run_cr_cycle(destination, at=5.0)
 
 
 def main() -> None:

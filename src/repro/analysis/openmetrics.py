@@ -1,7 +1,7 @@
 """OpenMetrics text exposition of a run's final metric state.
 
-A third serialization next to ``metrics.json`` and the Chrome counter
-tracks: the `OpenMetrics text format
+The registry's final state next to the Chrome counter tracks of
+``trace.json``: the `OpenMetrics text format
 <https://prometheus.io/docs/specifications/om/open_metrics_spec/>`_ that
 Prometheus-family scrapers ingest directly.  The snapshot is
 end-of-run state, not a live scrape endpoint — it exists so a fleet of

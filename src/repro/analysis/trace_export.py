@@ -1,4 +1,4 @@
-"""Trace and metrics exporters: JSONL rows and Chrome Trace Event Format.
+"""Trace exporters: JSONL rows and Chrome Trace Event Format.
 
 Two serializations of the same observability data:
 
@@ -36,8 +36,7 @@ from typing import Any, Dict, Iterable, Iterator, List, TextIO, Tuple
 
 __all__ = ["atomic_write", "atomic_write_bytes", "open_trace_text",
            "write_jsonl", "read_jsonl", "chrome_trace",
-           "write_chrome_trace", "metrics_payload", "write_metrics",
-           "telemetry_series", "summarize_trace"]
+           "write_chrome_trace", "telemetry_series"]
 
 
 @contextmanager
@@ -354,18 +353,6 @@ def write_chrome_trace(trace, path: str, metrics=None) -> int:
     return len(doc["traceEvents"])
 
 
-def metrics_payload(metrics) -> Dict[str, Any]:
-    """The ``metrics.json`` document for a registry (or ``None``)."""
-    return {} if metrics is None else metrics.as_dict()
-
-
-def write_metrics(metrics, path: str) -> int:
-    payload = metrics_payload(metrics)
-    with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-    return len(payload)
-
-
 def telemetry_series(trace) -> Dict[str, List[Tuple[float, float]]]:
     """``{metric: [(t, value), ...]}`` from a trace's ``telemetry.sample``
     records — the probe's time-series recovered from a live tracer or a
@@ -378,31 +365,3 @@ def telemetry_series(trace) -> Dict[str, List[Tuple[float, float]]]:
         out.setdefault(str(metric), []).append(
             (rec.time, float(rec.get("value", 0.0))))
     return out
-
-
-def summarize_trace(trace, metrics=None) -> str:
-    """Human-oriented digest: phase durations, byte movement, kind counts."""
-    from .timeline import extract_phases
-
-    lines: List[str] = []
-    intervals = extract_phases(trace)
-    if intervals:
-        lines.append("phases:")
-        for iv in intervals:
-            lines.append(f"  {iv.name:<12} {iv.duration:9.3f} s "
-                         f"[{iv.start:.3f} .. {iv.end:.3f}]")
-    kinds: Dict[str, int] = {}
-    for rec in trace:
-        kinds[rec.kind] = kinds.get(rec.kind, 0) + 1
-    lines.append(f"records: {len(kinds)} kinds, "
-                 f"{sum(kinds.values())} total")
-    if metrics is not None and len(metrics):
-        lines.append("key metrics:")
-        for name in metrics.names():
-            inst = metrics.get(name)
-            if inst.kind == "counter":
-                lines.append(f"  {name:<28} {inst.value:>14.0f} {inst.unit}")
-            elif inst.kind == "histogram" and inst.count:
-                lines.append(f"  {name:<28} n={inst.count} "
-                             f"mean={inst.mean:.6g} {inst.unit}")
-    return "\n".join(lines)

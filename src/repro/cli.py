@@ -6,9 +6,12 @@
     python -m repro compare   --app BT.C
     python -m repro scale     --ppn 1 2 4 8
     python -m repro interval  --mtbf-hours 6 --coverage 0.9
-    python -m repro observe   --app LU.C --out-dir ./obs
-    python -m repro critical-path --app LU.C
+    python -m repro report    --app LU.C --out report.md
     python -m repro bench     --out-dir ./bench-out
+
+``report`` renders one traced run (live, a recorded run id or a trace
+file); a recorded run's directory keeps ``trace.jsonl.gz`` and the
+Perfetto ``trace.json``.
 """
 
 from __future__ import annotations
@@ -21,29 +24,22 @@ import numpy as np
 
 from .analysis import (
     atomic_write,
-    build_span_dag,
     cr_cycle_breakdown,
-    critical_path,
     daly_interval,
     diff_traces,
-    dominant_component,
     effective_mtbf,
     extract_phases,
     migration_cycle_breakdown,
     migration_phase_breakdown,
     read_jsonl,
-    render_blame,
     render_explanation,
     render_table,
     render_timeline,
-    render_waterfall,
     simulate_policy,
     speedup,
-    summarize_trace,
     telemetry_series,
     write_chrome_trace,
     write_jsonl,
-    write_metrics,
     write_openmetrics,
 )
 from .obs import (
@@ -63,7 +59,7 @@ from .obs import (
 from .params import NPB_TABLE
 from .scenario import Scenario
 from .simulate.metrics import MetricsRegistry
-from .simulate.telemetry import TelemetryProbe
+from .simulate.telemetry import DEFAULT_INTERVAL, TelemetryProbe
 from .simulate.trace import Tracer
 
 __all__ = ["main", "build_parser"]
@@ -124,37 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default=[0.0, 0.5, 0.9])
     interval.add_argument("--work-days", type=float, default=7.0)
 
-    obs = sub.add_parser(
-        "observe",
-        help="run one traced migration and export trace.json / "
-             "trace.jsonl / metrics.json")
-    common(obs)
-    obs.add_argument("--source", default="node3")
-    obs.add_argument("--transport", default="rdma",
-                     choices=["rdma", "ipoib", "tcp", "staging"])
-    obs.add_argument("--restart-mode", default="file",
-                     choices=["file", "memory"])
-    obs.add_argument("--out-dir", default=".",
-                     help="directory for the exported artifacts")
-
-    cp = sub.add_parser(
-        "critical-path",
-        help="critical-path analysis of one traced migration "
-             "(waterfall + per-component blame)")
-    common(cp)
-    cp.add_argument("--source", default="node3")
-    cp.add_argument("--transport", default="rdma",
-                    choices=["rdma", "ipoib", "tcp", "staging"])
-    cp.add_argument("--restart-mode", default="file",
-                    choices=["file", "memory"])
-    cp.add_argument("--from-jsonl", default=None, metavar="PATH",
-                    help="analyze an exported trace.jsonl instead of "
-                         "running a simulation")
-    cp.add_argument("--root", default=None,
-                    help="span name to analyze (default: migration)")
-    cp.add_argument("--width", type=int, default=48,
-                    help="waterfall bar width")
-
     bench = sub.add_parser(
         "bench",
         help="run the benchmark harness: write BENCH_*.json and diff "
@@ -164,9 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for BENCH_<name>.json artifacts")
     bench.add_argument("--only", "--family", nargs="+", default=None,
                        metavar="NAME", dest="only",
-                       help="subset of benches (fig4 fig6 fig7 table1 "
-                            "pipeline events_per_sec); --family is an "
-                            "alias")
+                       help=f"subset of benches ({_bench_names()}); "
+                            "--family is an alias")
     bench.add_argument("--baselines", default=None, metavar="PATH",
                        help="baselines file (default: "
                             "benchmarks/baselines.json)")
@@ -255,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--restart-mode", default="file",
                      choices=["file", "memory"])
     rep.add_argument("--from-run", default=None, metavar="RUN_ID",
-                     help="render from a recorded run's manifest/artifacts "
-                          "instead of simulating")
+                     help="render from a recorded run id or a trace "
+                          ".jsonl/.jsonl.gz file instead of simulating")
     rep.add_argument("--out", default=None, metavar="PATH",
                      help="write the markdown report here (default: stdout)")
     rep.add_argument("--html", default=None, metavar="PATH",
@@ -307,8 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bench_names() -> str:
+    try:
+        from benchmarks.harness import BENCHES
+    except ImportError:
+        return "see benchmarks/harness.py"
+    return " ".join(BENCHES)
+
+
 def _trace_file_error(path: str) -> Optional[str]:
-    """One-line error for a missing or empty ``--from-jsonl`` file."""
+    """One-line error for a missing or empty trace file argument."""
     if not os.path.exists(path):
         return f"error: trace file not found: {path}"
     if os.path.getsize(path) == 0:
@@ -366,18 +338,63 @@ def _run_config(args) -> dict:
 
 def _record_run(args, command: str, results: dict,
                 artifacts: List[str], wall_seconds: float,
-                lines: List[str]) -> Optional[RunManifest]:
-    """Write this run's manifest (unless ``--no-manifest``); note it."""
+                lines: List[str], tracer: Optional[Tracer] = None,
+                registry: Optional[MetricsRegistry] = None
+                ) -> Optional[RunManifest]:
+    """Write this run's manifest (unless ``--no-manifest``); note it.
+
+    With a ``tracer`` the run directory also archives the trace:
+    ``trace.jsonl.gz`` (what ``explain`` and ``report --from-run``
+    re-read) and the Perfetto/Chrome ``trace.json``.
+    """
     if getattr(args, "no_manifest", False):
         return None
     manifest = RunManifest.new(command, _run_config(args),
                                seed=getattr(args, "seed", None))
     manifest.wall_seconds = wall_seconds
     manifest.results = results
-    manifest.artifacts = [os.path.abspath(a) for a in artifacts]
     path = write_manifest(manifest, getattr(args, "runs_dir", None))
+    if tracer is not None:
+        run_dir = os.path.dirname(path)
+        archived = [os.path.join(run_dir, "trace.jsonl.gz"),
+                    os.path.join(run_dir, "trace.json")]
+        write_jsonl(tracer, archived[0])
+        write_chrome_trace(tracer, archived[1], metrics=registry)
+        artifacts = archived + artifacts
+    manifest.artifacts = [os.path.abspath(a) for a in artifacts]
+    write_manifest(manifest, getattr(args, "runs_dir", None), overwrite=True)
     lines.append(f"recorded run {manifest.run_id} ({path})")
     return manifest
+
+
+def _traced_migration(args, label: str,
+                      registry: Optional[MetricsRegistry] = None,
+                      interval: Optional[float] = None):
+    """Migrate ``--source`` at t=5 s on the traced Fig. 4 testbed.
+
+    Returns ``(report, tracer, probe, wall seconds)``.  A telemetry
+    probe is attached when ``interval`` is given or ``--progress`` asks
+    for a heartbeat, else ``probe`` is ``None``.
+    """
+    tracer = Tracer()
+    sc = Scenario.build(app=args.app, nprocs=args.nprocs, n_compute=args.nodes,
+                        n_spare=1, iterations=40, seed=args.seed,
+                        transport=args.transport,
+                        restart_mode=args.restart_mode, trace=tracer,
+                        metrics=registry)
+    reporter = ProgressReporter(label=label) if args.progress else None
+    probe = None
+    if interval is not None or reporter is not None:
+        probe = sc.sim.attach_probe(TelemetryProbe(
+            interval=interval or DEFAULT_INTERVAL,
+            on_sample=reporter.on_sample if reporter is not None else None))
+    t0 = start_clock()
+    report = sc.run_migration(args.source, at=5.0)
+    wall = stop_clock(t0)
+    if reporter is not None:
+        reporter.done(f"{sc.sim.events_processed} events, "
+                      f"{probe.samples_taken} samples")
+    return report, tracer, probe, wall
 
 
 def _cmd_migrate(args):
@@ -385,20 +402,7 @@ def _cmd_migrate(args):
         err = _out_path_error(args.trace_out, "--trace-out")
         if err is not None:
             return err, 2
-    tracer = Tracer()
-    sc = Scenario.build(app=args.app, nprocs=args.nprocs, n_compute=args.nodes,
-                        n_spare=1, iterations=40, seed=args.seed,
-                        transport=args.transport,
-                        restart_mode=args.restart_mode, trace=tracer)
-    reporter = None
-    if args.progress:
-        reporter = ProgressReporter(label="migrate")
-        sc.sim.attach_probe(TelemetryProbe(on_sample=reporter.on_sample))
-    t0 = start_clock()
-    report = sc.run_migration(args.source, at=5.0)
-    wall = stop_clock(t0)
-    if reporter is not None:
-        reporter.done(f"{sc.sim.events_processed} events")
+    report, tracer, _, wall = _traced_migration(args, "migrate")
     phases = migration_phase_breakdown(report)
     lines = [render_table(
         f"Migration {args.source} -> {report.target} ({args.app}.{args.nprocs}, "
@@ -438,15 +442,7 @@ def _cmd_compare(args) -> str:
         sc = Scenario.build(app=args.app, nprocs=args.nprocs,
                             n_compute=args.nodes, n_spare=1, iterations=40,
                             seed=args.seed, with_pvfs=True)
-        strategy = sc.cr_strategy(dest)
-
-        def drive(sim, strategy=strategy):
-            yield sim.timeout(5.0)
-            ckpt = yield from strategy.checkpoint()
-            restart = yield from strategy.restart()
-            return ckpt, restart
-
-        ckpt, restart = sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
+        ckpt, restart = sc.run_cr_cycle(dest, at=5.0)
         rows[f"CR({dest})"] = cr_cycle_breakdown(ckpt, restart)
     wall = stop_clock(t0)
     if reporter is not None:
@@ -500,77 +496,18 @@ def _cmd_interval(args) -> str:
         f"{args.work_days:g}-day job)", rows, unit="mixed", digits=1)
 
 
-def _cmd_observe(args):
-    """One fully observed migration: spans + metrics, exported to disk."""
-    err = _out_dir_error(args.out_dir, "--out-dir")
-    if err is not None:
-        return err, 2
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    sc = Scenario.build(app=args.app, nprocs=args.nprocs, n_compute=args.nodes,
-                        n_spare=1, iterations=40, seed=args.seed,
-                        transport=args.transport,
-                        restart_mode=args.restart_mode, trace=tracer,
-                        metrics=registry)
-    report = sc.run_migration(args.source, at=5.0)
-    os.makedirs(args.out_dir, exist_ok=True)
-    trace_json = os.path.join(args.out_dir, "trace.json")
-    trace_jsonl = os.path.join(args.out_dir, "trace.jsonl")
-    metrics_json = os.path.join(args.out_dir, "metrics.json")
-    n_events = write_chrome_trace(tracer, trace_json, metrics=registry)
-    n_rows = write_jsonl(tracer, trace_jsonl)
-    n_metrics = write_metrics(registry, metrics_json)
-    lines = [
-        f"Observed migration {args.source} -> {report.target} "
-        f"({args.app}.{args.nprocs}, {args.transport}/{args.restart_mode})",
-        summarize_trace(tracer, registry),
-        f"wrote {trace_json} ({n_events} events, load in "
-        f"ui.perfetto.dev or chrome://tracing)",
-        f"wrote {trace_jsonl} ({n_rows} records)",
-        f"wrote {metrics_json} ({n_metrics} instruments)",
-    ]
-    return "\n".join(lines)
-
-
-def _cmd_critical_path(args):
-    """Causal profile of one migration: waterfall + blame + dominant."""
-    if args.from_jsonl:
-        err = _trace_file_error(args.from_jsonl)
-        if err is not None:
-            return err, 2
-        tracer = read_jsonl(args.from_jsonl)
-        header = f"Critical path of {args.from_jsonl}"
-    else:
-        tracer = Tracer()
-        sc = Scenario.build(app=args.app, nprocs=args.nprocs,
-                            n_compute=args.nodes, n_spare=1, iterations=40,
-                            seed=args.seed, transport=args.transport,
-                            restart_mode=args.restart_mode, trace=tracer)
-        report = sc.run_migration(args.source, at=5.0)
-        header = (f"Critical path: migration {args.source} -> "
-                  f"{report.target} ({args.app}.{args.nprocs}, "
-                  f"{args.transport}/{args.restart_mode})")
-    cp = critical_path(build_span_dag(tracer), root=args.root)
-    name, seconds = dominant_component(cp)
-    return "\n".join([
-        header,
-        render_waterfall(cp, width=args.width),
-        "",
-        render_blame(cp.blame()),
-        "",
-        f"dominant component: {name} ({seconds:.3f}s, "
-        f"{seconds / max(cp.total, 1e-12):.0%} of the critical path)",
-    ])
-
-
 def _cmd_bench(args):
     """Benchmark harness: BENCH_*.json artifacts + baseline diff."""
     try:
-        from benchmarks.harness import run_benches
+        from benchmarks.harness import BENCHES, run_benches
     except ImportError as exc:
         raise SystemExit(
             f"cannot import benchmarks.harness ({exc}); run from the "
             "repository root so the benchmarks/ package is importable")
+    unknown = [n for n in args.only or () if n not in BENCHES]
+    if unknown:
+        return (f"error: unknown benches {unknown}; "
+                f"available: {sorted(BENCHES)}"), 2
     if args.profile_out:
         err = _out_path_error(args.profile_out, "--profile-out")
         if err is not None:
@@ -776,7 +713,7 @@ def _cmd_validate(args) -> str:
 
 
 def _cmd_report(args):
-    """Self-contained run report: live simulation or a recorded run."""
+    """Self-contained run report: live simulation, recorded run or trace."""
     for path, flag in ((args.out, "--out"), (args.html, "--html"),
                        (args.openmetrics, "--openmetrics")):
         if path:
@@ -788,19 +725,12 @@ def _cmd_report(args):
         if args.openmetrics:
             return ("error: --openmetrics needs a live run (a recorded "
                     "manifest has no metrics registry to snapshot)"), 2
-        try:
-            manifest = load_manifest(args.from_run, args.runs_dir)
-        except (OSError, ValueError, TypeError) as exc:
-            return f"error: cannot load run {args.from_run!r}: {exc}", 2
-        records: list = []
-        series = None
-        trace_path = trace_artifact(manifest)
-        if trace_path is not None:
-            replay = read_jsonl(trace_path)
-            records = list(replay)
-            series = telemetry_series(replay)
+        err, manifest, replay = _resolve_trace_source(args.from_run,
+                                                      args.runs_dir)
+        if err is not None:
+            return err, 2
         extra_sections = []
-        for a in manifest.artifacts:
+        for a in manifest.artifacts if manifest is not None else ():
             base = os.path.basename(a)
             if base.startswith("EXPLAIN_") and base.endswith(".md") \
                     and os.path.exists(a):
@@ -810,50 +740,25 @@ def _cmd_report(args):
                          f"{base[len('EXPLAIN_'):-len('.md')]}",
                          fh.read()))
         text = render_run_report(
-            manifest=manifest, records=records, telemetry=series,
-            title=f"Run report — {manifest.run_id}",
+            manifest=manifest, records=replay,
+            telemetry=(telemetry_series(replay) if replay is not None
+                       else None),
+            title=f"Run report — "
+                  f"{args.from_run if manifest is None else manifest.run_id}",
             extra_sections=extra_sections)
-        registry = None
-        probe = None
+        registry = probe = None
     else:
-        tracer = Tracer()
         registry = MetricsRegistry()
-        reporter = ProgressReporter(label="report") if args.progress else None
-        probe = TelemetryProbe(
-            interval=args.telemetry_interval,
-            on_sample=reporter.on_sample if reporter is not None else None)
-        sc = Scenario.build(app=args.app, nprocs=args.nprocs,
-                            n_compute=args.nodes, n_spare=1, iterations=40,
-                            seed=args.seed, transport=args.transport,
-                            restart_mode=args.restart_mode, trace=tracer,
-                            metrics=registry)
-        sc.sim.attach_probe(probe)
-        t0 = start_clock()
-        mig = sc.run_migration(args.source, at=5.0)
-        wall = stop_clock(t0)
-        if reporter is not None:
-            reporter.done(f"{sc.sim.events_processed} events, "
-                          f"{probe.samples_taken} samples")
-        manifest = None
-        if not args.no_manifest:
-            manifest = RunManifest.new("report", _run_config(args),
-                                       seed=args.seed)
-            manifest.wall_seconds = wall
-            manifest.results = {
-                "phases": migration_phase_breakdown(mig),
-                "total_seconds": mig.total_seconds,
-                "bytes_migrated": mig.bytes_migrated,
-                "telemetry_samples": probe.samples_taken,
-            }
-            path = write_manifest(manifest, args.runs_dir)
-            run_dir = os.path.dirname(path)
-            trace_path = os.path.join(run_dir, "trace.jsonl.gz")
-            write_jsonl(tracer, trace_path)
-            manifest.artifacts = [os.path.abspath(trace_path)]
-            for p in (args.out, args.html, args.openmetrics):
-                if p:
-                    manifest.artifacts.append(os.path.abspath(p))
-            write_manifest(manifest, args.runs_dir, overwrite=True)
+        mig, tracer, probe, wall = _traced_migration(
+            args, "report", registry, interval=args.telemetry_interval)
+        manifest = _record_run(
+            args, "report",
+            {"phases": migration_phase_breakdown(mig),
+             "total_seconds": mig.total_seconds,
+             "bytes_migrated": mig.bytes_migrated,
+             "telemetry_samples": probe.samples_taken},
+            [p for p in (args.out, args.html, args.openmetrics) if p],
+            wall, [], tracer, registry)
         text = render_run_report(
             manifest=manifest, records=tracer, telemetry=probe,
             metrics_summary=registry.as_dict(),
@@ -882,17 +787,18 @@ def _cmd_report(args):
 
 
 def _resolve_trace_source(value: str, runs_dir: Optional[str]):
-    """``(error, label, tracer)`` for an explain argument.
+    """``(error, manifest, trace)`` for a trace file path or a run id.
 
-    A path that exists on disk is read as a trace export (gzip sniffed);
-    anything else is treated as a run id whose manifest must carry an
-    archived trace artifact.
+    A path that exists on disk, or that names a ``.jsonl``/``.jsonl.gz``
+    file, is read as a trace export (gzip sniffed) and has no manifest.
+    Anything else is a run id: its manifest, plus its archived trace
+    when it has one (else ``trace`` is ``None``).
     """
-    if os.path.isfile(value):
+    if os.path.isfile(value) or value.endswith((".jsonl", ".jsonl.gz")):
         err = _trace_file_error(value)
         if err is not None:
             return err, None, None
-        return None, value, read_jsonl(value)
+        return None, None, read_jsonl(value)
     try:
         manifest = load_manifest(value, runs_dir)
     except (OSError, ValueError, TypeError):
@@ -900,10 +806,7 @@ def _resolve_trace_source(value: str, runs_dir: Optional[str]):
                 f"recorded run id under {resolve_runs_dir(runs_dir)}"), \
             None, None
     path = trace_artifact(manifest)
-    if path is None:
-        return (f"error: run {value!r} has no archived trace artifact "
-                f"(re-run with --trace-out or `repro report`)"), None, None
-    return None, manifest.run_id, read_jsonl(path)
+    return None, manifest, read_jsonl(path) if path is not None else None
 
 
 def _cmd_explain(args):
@@ -914,10 +817,14 @@ def _cmd_explain(args):
             return err, 2
     sides = []
     for value in (args.a, args.b):
-        err, label, tracer = _resolve_trace_source(value, args.runs_dir)
+        err, manifest, tracer = _resolve_trace_source(value, args.runs_dir)
         if err is not None:
             return err, 2
-        sides.append((label, tracer))
+        if tracer is None:
+            return (f"error: run {value!r} has no archived trace artifact "
+                    f"(re-run with --trace-out or `repro report`)"), 2
+        sides.append((value if manifest is None else manifest.run_id,
+                      tracer))
     try:
         diff = diff_traces(sides[0][1], sides[1][1], root=args.root,
                            label_a=sides[0][0], label_b=sides[1][0])
@@ -982,8 +889,7 @@ def _cmd_runs(args):
 
 _COMMANDS = {"migrate": _cmd_migrate, "compare": _cmd_compare,
              "scale": _cmd_scale, "interval": _cmd_interval,
-             "observe": _cmd_observe, "validate": _cmd_validate,
-             "critical-path": _cmd_critical_path, "bench": _cmd_bench,
+             "validate": _cmd_validate, "bench": _cmd_bench,
              "sanitize": _cmd_sanitize, "lint": _cmd_lint,
              "simcheck": _cmd_simcheck,
              "report": _cmd_report, "runs": _cmd_runs,

@@ -93,14 +93,7 @@ def _cr_run(app: str, dest: str, seed: int = 0):
                               trace=tracer)
 
     def drive(sc: Scenario) -> None:
-        strategy = sc.cr_strategy(dest)
-
-        def cycle(sim):
-            yield sim.timeout(5.0)
-            yield from strategy.checkpoint()
-            yield from strategy.restart()
-
-        sc.sim.run(until=sc.sim.spawn(cycle(sc.sim)))
+        sc.run_cr_cycle(dest, at=5.0)
 
     return build, drive
 

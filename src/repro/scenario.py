@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Optional
+from typing import Optional, Tuple
 
 from .params import DEFAULT_TESTBED, MigrationParams, Testbed
 from .simulate.core import Simulator
@@ -27,7 +27,7 @@ from .mpi.job import MPIJob
 from .workloads.npb import NPBApplication
 from .core.framework import JobMigrationFramework
 from .core.checkpoint_restart import CheckpointRestartStrategy
-from .core.protocol import MigrationReport
+from .core.protocol import CheckpointReport, MigrationReport, RestartReport
 from .core.trigger import MigrationTrigger
 from .mpi import transport
 from .network.qp import QueuePair
@@ -114,6 +114,21 @@ class Scenario:
             return report
 
         proc = self.sim.spawn(fire(self.sim), name="scenario-migration")
+        return self.sim.run(until=proc)
+
+    def run_cr_cycle(self, destination: str, at: float = 5.0
+                     ) -> Tuple[CheckpointReport, RestartReport]:
+        """Checkpoint every rank to ``destination`` at ``at``, restart them
+        all, and run the sim until the restart completes."""
+        strategy = self.cr_strategy(destination)
+
+        def cycle(sim):
+            yield sim.timeout(at)
+            ckpt = yield from strategy.checkpoint()
+            restart = yield from strategy.restart()
+            return ckpt, restart
+
+        proc = self.sim.spawn(cycle(self.sim), name="scenario-cr-cycle")
         return self.sim.run(until=proc)
 
     def run_to_completion(self) -> float:

@@ -48,15 +48,7 @@ def _measure() -> Tuple:
     for dest in ("ext3", "pvfs"):
         sc = Scenario.build(app="LU.C", nprocs=64, iterations=40,
                             with_pvfs=True)
-        strategy = sc.cr_strategy(dest)
-
-        def drive(sim, strategy=strategy):
-            yield sim.timeout(5.0)
-            ckpt = yield from strategy.checkpoint()
-            restart = yield from strategy.restart()
-            return ckpt, restart
-
-        cycles[dest] = sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
+        cycles[dest] = sc.run_cr_cycle(dest, at=5.0)
     return migration, cycles
 
 

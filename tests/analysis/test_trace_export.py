@@ -9,10 +9,8 @@ from repro.analysis import (
     chrome_trace,
     extract_phases,
     read_jsonl,
-    summarize_trace,
     write_chrome_trace,
     write_jsonl,
-    write_metrics,
 )
 from repro.simulate import MetricsRegistry, Simulator, Tracer
 
@@ -188,28 +186,6 @@ def test_chrome_trace_keeps_unclosed_spans():
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert xs[0]["name"] == "dangling (unclosed)"
     assert xs[0]["dur"] == 0.0
-
-
-def test_write_metrics_payload(tmp_path):
-    m = MetricsRegistry(clock=lambda: 0.0)
-    m.counter("a", unit="B").inc(7)
-    m.histogram("h").observe(0.5)
-    path = tmp_path / "metrics.json"
-    n = write_metrics(m, str(path))
-    payload = json.load(open(path))
-    assert n == 2
-    assert payload["a"]["value"] == 7
-    assert payload["h"]["count"] == 1
-
-
-def test_summarize_trace_mentions_phases_and_metrics():
-    _, t = make_trace()
-    m = MetricsRegistry(clock=lambda: 0.0)
-    m.counter("pool.fill.bytes", unit="bytes").inc(1024)
-    out = summarize_trace(t, m)
-    assert "Job Migration" in out
-    assert "pool.fill.bytes" in out
-    assert "records:" in out
 
 
 def test_extract_phases_concurrent_same_name():

@@ -55,41 +55,18 @@ def test_compare_command_small(capsys):
     assert "speedup over CR(pvfs)" in out
 
 
-def test_observe_command_exports_artifacts(capsys, tmp_path):
-    import json
-
-    out = run_cli(capsys, "observe", "--app", "LU.C", "--nprocs", "8",
-                  "--nodes", "2", "--source", "node1",
-                  "--out-dir", str(tmp_path))
-    assert "Observed migration node1 -> spare0" in out
-    assert "wrote" in out
-    doc = json.load(open(tmp_path / "trace.json"))
-    events = doc["traceEvents"]
-    assert events, "chrome trace must be non-empty"
-    assert {"X", "C", "M"} <= {e["ph"] for e in events}
-    rows = [json.loads(line)
-            for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
-    assert rows and all("kind" in r for r in rows)
-    metrics = json.load(open(tmp_path / "metrics.json"))
-    assert metrics["pool.pull.bytes"]["value"] > 0
-
-
-def test_critical_path_command(capsys):
-    out = run_cli(capsys, "critical-path", "--app", "LU.C", "--nprocs", "8",
-                  "--nodes", "2", "--source", "node1")
-    assert "critical path" in out
-    assert "dominant component:" in out
+def test_report_from_trace_file(capsys, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    run_cli(capsys, "migrate", "--app", "LU.C", "--nprocs", "8",
+            "--nodes", "2", "--source", "node1", "--no-manifest",
+            "--trace-out", str(path))
+    out = run_cli(capsys, "report", "--from-run", str(path),
+                  "--runs-dir", str(tmp_path))
+    assert f"Run report — {path}" in out
+    assert "## Phase waterfall" in out
+    assert "Dominant component:" in out
     assert "blcr.restart" in out
     assert "phase:Restart" in out
-
-
-def test_critical_path_from_jsonl(capsys, tmp_path):
-    run_cli(capsys, "observe", "--app", "LU.C", "--nprocs", "8",
-            "--nodes", "2", "--source", "node1", "--out-dir", str(tmp_path))
-    out = run_cli(capsys, "critical-path", "--from-jsonl",
-                  str(tmp_path / "trace.jsonl"))
-    assert "dominant component:" in out
-    assert "blcr.restart" in out
 
 
 def test_bench_command_clean_and_regressing(capsys, tmp_path):
@@ -121,6 +98,28 @@ def test_bench_command_clean_and_regressing(capsys, tmp_path):
     assert "drifted" in out
 
 
+def test_bench_unknown_name_is_one_line_error(capsys, tmp_path):
+    from benchmarks.harness import BENCHES
+
+    rc = main(["bench", "--only", "fig4", "bogus", "--out-dir",
+               str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out.strip() == (f"error: unknown benches ['bogus']; "
+                           f"available: {sorted(BENCHES)}")
+    assert not list(tmp_path.iterdir())
+
+
+def test_bench_only_help_lists_every_bench(capsys):
+    from benchmarks.harness import BENCHES
+
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    out = capsys.readouterr().out
+    for name in BENCHES:
+        assert name in out, name
+
+
 def test_bad_app_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["migrate", "--app", "FT.C"])
@@ -146,20 +145,25 @@ def test_migrate_trace_out_exports_jsonl(capsys, tmp_path):
     assert any(r["kind"] == "pipeline.run.start" for r in rows)
 
 
-@pytest.mark.parametrize("command", ["critical-path", "sanitize"])
+TRACE_FILE_COMMANDS = pytest.mark.parametrize(
+    "command", [["report", "--from-run"], ["sanitize", "--from-jsonl"]],
+    ids=["report", "sanitize"])
+
+
+@TRACE_FILE_COMMANDS
 def test_missing_trace_file_is_one_line_error(capsys, command):
-    rc = main([command, "--from-jsonl", "/no/such/trace.jsonl"])
+    rc = main([*command, "/no/such/trace.jsonl"])
     out = capsys.readouterr().out
     assert rc == 2
     assert out.strip() == "error: trace file not found: /no/such/trace.jsonl"
     assert "Traceback" not in out
 
 
-@pytest.mark.parametrize("command", ["critical-path", "sanitize"])
+@TRACE_FILE_COMMANDS
 def test_empty_trace_file_is_one_line_error(capsys, tmp_path, command):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    rc = main([command, "--from-jsonl", str(empty)])
+    rc = main([*command, str(empty)])
     out = capsys.readouterr().out
     assert rc == 2
     assert out.strip() == f"error: trace file is empty: {empty}"
@@ -237,6 +241,38 @@ def test_report_command_live_renders_sections(capsys, tmp_path):
         assert section in out, section
     # At least four sampled series render as sparkline rows.
     assert out.count("| `kernel.") >= 4
+    # The blame names the file-mode restart as the cycle's owner.
+    assert "Dominant component:" in out
+    assert "blcr.restart" in out
+    assert "phase:Restart" in out
+
+
+def test_report_run_dir_keeps_chrome_trace(capsys, tmp_path):
+    import json
+
+    from repro.analysis import read_jsonl
+    from repro.obs import load_manifest, trace_artifact
+
+    run_cli(capsys, "report", *SMALL, "--source", "node1",
+            "--runs-dir", str(tmp_path))
+    (run_id,) = _run_ids(capsys, tmp_path)
+    trace_json = tmp_path / run_id / "trace.json"
+    manifest = load_manifest(run_id, str(tmp_path))
+    assert str(trace_json) in manifest.artifacts
+    assert trace_artifact(manifest) == str(tmp_path / run_id
+                                           / "trace.jsonl.gz")
+    rows = list(read_jsonl(trace_artifact(manifest)))
+    assert rows and all(r.kind for r in rows)
+    events = json.load(open(trace_json))["traceEvents"]
+    assert {"X", "C", "M"} <= {e["ph"] for e in events}
+    starts = [e for e in events if e["ph"] == "s"]
+    finishes = [e for e in events if e["ph"] == "f"]
+    assert starts, "expected flow start (s) events"
+    s_ids = sorted(e["id"] for e in starts)
+    assert s_ids == sorted(e["id"] for e in finishes), "unpaired flows"
+    assert len(s_ids) == len(set(s_ids)), "duplicate flow ids"
+    edges = {e["name"] for e in starts}
+    assert {"rdma.pull", "reassembly", "image.ready"} <= edges, edges
 
 
 def test_report_writes_markdown_html_and_openmetrics(capsys, tmp_path):
@@ -255,6 +291,7 @@ def test_report_writes_markdown_html_and_openmetrics(capsys, tmp_path):
     assert html.read_text().startswith("<!DOCTYPE html>")
     families = parse_openmetrics(om.read_text())
     assert any(name.startswith("telemetry_kernel_") for name in families)
+    assert families["pool_pull_bytes_total"][0][1] > 0
 
 
 def test_report_from_run_rerenders_archived_trace(capsys, tmp_path):
@@ -282,7 +319,7 @@ def test_report_from_unknown_run_is_one_line_error(capsys, tmp_path):
                "--runs-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 2
-    assert out.startswith("error: cannot load run")
+    assert out.startswith("error: 'no-such-run' is neither a trace file")
     assert "Traceback" not in out
 
 
@@ -315,11 +352,10 @@ def test_output_path_that_is_a_directory_fails_fast(capsys, tmp_path):
     assert "path is a directory" in out
 
 
-def test_observe_out_dir_that_is_a_file_fails_fast(capsys, tmp_path):
+def test_bench_out_dir_that_is_a_file_fails_fast(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
-    rc = main(["observe", *SMALL, "--source", "node1",
-               "--out-dir", str(blocker)])
+    rc = main(["bench", "--only", "fig4", "--out-dir", str(blocker)])
     out = capsys.readouterr().out
     assert rc == 2
     assert "path is a file, not a directory" in out

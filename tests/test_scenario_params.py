@@ -64,6 +64,28 @@ def test_scenario_with_pvfs():
     assert sc.cr_strategy("pvfs").destination == "pvfs"
 
 
+def test_run_cr_cycle_matches_a_hand_written_driver():
+    def build():
+        return Scenario.build(app="LU.C", nprocs=8, n_compute=2, n_spare=1,
+                              iterations=40, with_pvfs=True)
+
+    sc = build()
+    strategy = sc.cr_strategy("pvfs")
+
+    def drive(sim):
+        yield sim.timeout(5.0)
+        ckpt = yield from strategy.checkpoint()
+        restart = yield from strategy.restart()
+        return ckpt, restart
+
+    expected = sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
+    cycled = build()
+    assert cycled.run_cr_cycle("pvfs") == expected
+    assert expected[0].n_ranks == expected[1].n_ranks == 8
+    assert cycled.sim.events_processed == sc.sim.events_processed
+    assert cycled.sim.now == sc.sim.now
+
+
 def test_scenario_deterministic_across_seeds():
     def run(seed):
         sc = Scenario.build(app="LU.C", nprocs=8, n_compute=2, n_spare=1,
